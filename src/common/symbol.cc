@@ -1,6 +1,8 @@
 #include "common/symbol.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <mutex>
 
 namespace multilog {
@@ -34,7 +36,12 @@ uint32_t SymbolTable::Intern(std::string_view text) {
 uint32_t SymbolTable::Append(std::string_view text) {
   const uint32_t id = size_.load(std::memory_order_relaxed);
   const uint32_t block_index = id >> kBlockBits;
-  assert(block_index < kMaxBlocks && "symbol table full");
+  if (block_index >= kMaxBlocks) {
+    // Checked in every build: past the last block, the store below would
+    // write beyond blocks_.
+    std::fprintf(stderr, "multilog: symbol table full (%u symbols)\n", id);
+    std::abort();
+  }
   Block* block = blocks_[block_index].load(std::memory_order_relaxed);
   if (block == nullptr) {
     block = new Block();

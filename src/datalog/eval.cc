@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -294,11 +295,25 @@ Status JoinBody(const std::vector<Literal>& body, size_t index,
   }
 
   const Atom pattern = subst.Apply(lit.atom());
+  const PredicateId pred = pattern.PredicateId();
+  // Bit i set: argument i is ground, so a fact unifies only if it holds
+  // an equal term there (positions past 63 are left to UnifyAtoms).
+  uint64_t ground_args = 0;
+  for (size_t pos = 0; pos < pattern.arity() && pos < 64; ++pos) {
+    if (pattern.args()[pos].IsGround()) ground_args |= uint64_t{1} << pos;
+  }
 
   // Candidate facts: the delta chunk when this is the designated delta
   // literal, otherwise an indexed selection from the model when some
-  // argument is already ground, otherwise a full predicate scan.
+  // argument is already ground, otherwise a full predicate scan. A
+  // candidate that clashes on a ground argument is rejected before
+  // UnifyAtoms copies the substitution.
   auto try_fact = [&](const Atom& fact) -> Status {
+    if (fact.PredicateId() != pred) return Status::OK();
+    for (uint64_t bits = ground_args; bits != 0; bits &= bits - 1) {
+      const size_t pos = static_cast<size_t>(std::countr_zero(bits));
+      if (fact.args()[pos] != pattern.args()[pos]) return Status::OK();
+    }
     std::optional<Substitution> extended = UnifyAtoms(pattern, fact, subst);
     if (!extended.has_value()) return Status::OK();
     return JoinBody(body, index + 1, model, delta_begin, delta_end,
@@ -315,7 +330,6 @@ Status JoinBody(const std::vector<Literal>& body, size_t index,
   // Among the ground argument positions, use the most selective index
   // (fewest candidates); fall back to a full predicate scan when no
   // argument is bound.
-  const PredicateId pred = pattern.PredicateId();
   bool have_index = false;
   FactSlice best;
   for (size_t pos = 0; pos < pattern.arity(); ++pos) {
@@ -1071,8 +1085,7 @@ Result<std::vector<Substitution>> QueryModel(const Model& model,
   goal_vars.erase(std::unique(goal_vars.begin(), goal_vars.end()),
                   goal_vars.end());
 
-  std::set<std::string> seen;  // canonical text of the restricted answer
-  std::vector<Substitution> answers;
+  OrderedAnswers<Substitution> answers;
   MULTILOG_RETURN_IF_ERROR(JoinBody(
       goal, 0, model, nullptr, nullptr, -1, nullptr, Substitution(),
       [&](const Substitution& subst) -> Status {
@@ -1082,16 +1095,12 @@ Result<std::vector<Substitution>> QueryModel(const Model& model,
           Term value = subst.Apply(Term::Var(v));
           if (!value.IsVariable()) restricted.Bind(v, value);
         }
-        if (seen.insert(restricted.ToString()).second) {
-          answers.push_back(std::move(restricted));
+        if (Substitution* slot = answers.Insert(restricted.ToString())) {
+          *slot = std::move(restricted);
         }
         return Status::OK();
       }));
-  std::sort(answers.begin(), answers.end(),
-            [](const Substitution& a, const Substitution& b) {
-              return a.ToString() < b.ToString();
-            });
-  return answers;
+  return answers.Take();
 }
 
 }  // namespace multilog::datalog

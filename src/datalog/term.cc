@@ -1,5 +1,6 @@
 #include "datalog/term.h"
 
+#include <charconv>
 #include <functional>
 
 namespace multilog::datalog {
@@ -69,24 +70,37 @@ void Term::CollectVariables(std::vector<Symbol>* out) const {
 }
 
 std::string Term::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void Term::AppendTo(std::string* out) const {
   switch (kind_) {
     case Kind::kVariable:
     case Kind::kSymbol:
-      return name();
-    case Kind::kInt:
-      return std::to_string(int_value_);
+      *out += name();
+      return;
+    case Kind::kInt: {
+      char buf[24];
+      const std::to_chars_result r =
+          std::to_chars(buf, buf + sizeof(buf), int_value_);
+      out->append(buf, r.ptr);
+      return;
+    }
     case Kind::kCompound: {
-      std::string out = name() + "(";
+      *out += name();
+      *out += '(';
       const auto& as = args();
       for (size_t i = 0; i < as.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += as[i].ToString();
+        if (i > 0) *out += ", ";
+        as[i].AppendTo(out);
       }
-      out += ")";
-      return out;
+      *out += ')';
+      return;
     }
   }
-  return "?";
+  *out += '?';
 }
 
 bool Term::operator==(const Term& other) const {

@@ -64,6 +64,8 @@ class Term {
 
   /// Prolog-ish rendering: X, avenger, 42, f(a, X).
   std::string ToString() const;
+  /// Appends ToString()'s text to `out` without temporaries.
+  void AppendTo(std::string* out) const;
 
   bool operator==(const Term& other) const;
   bool operator!=(const Term& other) const { return !(*this == other); }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <set>
 
 #include "datalog/eval.h"
 
@@ -176,23 +175,18 @@ Result<std::vector<Substitution>> TopDownEngine::Solve(
     }
   }
 
-  std::set<std::string> seen;
-  std::vector<Substitution> answers;
+  OrderedAnswers<Substitution> answers;
   for (const Substitution& s : raw) {
     Substitution restricted;
     for (Symbol v : goal_vars) {
       Term value = s.Apply(Term::Var(v));
       if (!value.IsVariable()) restricted.Bind(v, value);
     }
-    if (seen.insert(restricted.ToString()).second) {
-      answers.push_back(std::move(restricted));
+    if (Substitution* slot = answers.Insert(restricted.ToString())) {
+      *slot = std::move(restricted);
     }
   }
-  std::sort(answers.begin(), answers.end(),
-            [](const Substitution& a, const Substitution& b) {
-              return a.ToString() < b.ToString();
-            });
-  return answers;
+  return answers.Take();
 }
 
 }  // namespace multilog::datalog

@@ -47,17 +47,30 @@ Literal Substitution::Apply(const Literal& l) const {
 }
 
 std::string Substitution::ToString() const {
-  std::vector<std::pair<Symbol, Term>> sorted = bindings_;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [var, term] : sorted) {
-    if (!first) out += ", ";
-    first = false;
-    out += var.str() + "=" + Apply(term).ToString();
+  auto by_name = [](const auto& a, const auto& b) { return a.first < b.first; };
+  // QueryModel and the interpreters bind answers in name order, so only
+  // an out-of-order binding list pays for a sorted copy.
+  std::vector<std::pair<Symbol, Term>> sorted;
+  const std::vector<std::pair<Symbol, Term>>* in_order = &bindings_;
+  if (!std::is_sorted(bindings_.begin(), bindings_.end(), by_name)) {
+    sorted = bindings_;
+    std::sort(sorted.begin(), sorted.end(), by_name);
+    in_order = &sorted;
   }
-  out += "}";
+  std::string out;
+  out.reserve(2 + 16 * in_order->size());
+  out += '{';
+  for (const auto& [var, term] : *in_order) {
+    if (out.size() > 1) out += ", ";
+    out += var.str();
+    out += '=';
+    if (term.IsGround()) {
+      term.AppendTo(&out);
+    } else {
+      Apply(term).AppendTo(&out);
+    }
+  }
+  out += '}';
   return out;
 }
 
@@ -125,7 +138,7 @@ std::optional<Substitution> UnifyAtoms(const Atom& a, const Atom& b,
   return subst;
 }
 
-Term RenameTerm(const Term& t, int suffix) {
+Term RenameTerm(const Term& t, int64_t suffix) {
   switch (t.kind()) {
     case Term::Kind::kVariable:
       return Term::Var(t.name() + "#" + std::to_string(suffix));
@@ -142,14 +155,14 @@ Term RenameTerm(const Term& t, int suffix) {
   return t;
 }
 
-Atom RenameAtom(const Atom& a, int suffix) {
+Atom RenameAtom(const Atom& a, int64_t suffix) {
   std::vector<Term> args;
   args.reserve(a.args().size());
   for (const Term& t : a.args()) args.push_back(RenameTerm(t, suffix));
   return Atom(a.predicate_symbol(), std::move(args));
 }
 
-Literal RenameLiteral(const Literal& l, int suffix) {
+Literal RenameLiteral(const Literal& l, int64_t suffix) {
   if (l.is_builtin()) {
     return Literal::Builtin(l.comparison(), RenameTerm(l.lhs(), suffix),
                             RenameTerm(l.rhs(), suffix));

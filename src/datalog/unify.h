@@ -1,6 +1,7 @@
 #ifndef MULTILOG_DATALOG_UNIFY_H_
 #define MULTILOG_DATALOG_UNIFY_H_
 
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -60,6 +61,34 @@ class Substitution {
   std::vector<std::pair<Symbol, Term>> bindings_;
 };
 
+/// An answer list under the answer-order contract every engine keeps:
+/// answers are deduplicated and ordered by their canonical text
+/// (Substitution::ToString), the first of equal answers winning. The
+/// caller renders each candidate's text once and inserts it; the text is
+/// the key, so no comparator ever re-renders an answer.
+template <typename T>
+class OrderedAnswers {
+ public:
+  /// The slot for a new answer rendered as `text`, or nullptr when an
+  /// answer with that text is already held.
+  T* Insert(std::string text) {
+    auto [it, inserted] = by_text_.try_emplace(std::move(text));
+    return inserted ? &it->second : nullptr;
+  }
+
+  /// Moves the answers out in text order, leaving the list empty.
+  std::vector<T> Take() {
+    std::vector<T> out;
+    out.reserve(by_text_.size());
+    for (auto& [text, answer] : by_text_) out.push_back(std::move(answer));
+    by_text_.clear();
+    return out;
+  }
+
+ private:
+  std::map<std::string, T> by_text_;
+};
+
 /// Unifies `a` and `b` under `subst`, extending it in place on success.
 /// Performs the occurs check (needed because compound terms are allowed).
 /// On failure `subst` may hold partial bindings; callers that need
@@ -74,9 +103,9 @@ std::optional<Substitution> UnifyAtoms(const Atom& a, const Atom& b,
 /// Returns a copy of the clause with every variable X renamed to
 /// "X#<suffix>", making it variable-disjoint from any other renaming.
 class Clause;
-Atom RenameAtom(const Atom& a, int suffix);
-Term RenameTerm(const Term& t, int suffix);
-Literal RenameLiteral(const Literal& l, int suffix);
+Atom RenameAtom(const Atom& a, int64_t suffix);
+Term RenameTerm(const Term& t, int64_t suffix);
+Literal RenameLiteral(const Literal& l, int64_t suffix);
 
 }  // namespace multilog::datalog
 

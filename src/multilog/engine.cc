@@ -40,38 +40,42 @@ Atom DecodeFact(const Atom& fact) {
 }
 
 /// Removes bindings of don't-care variables (the parser's "_dc<n>"
-/// placeholders for omitted classifications, Section 7) and deduplicates
-/// the remaining answers, keeping proof alignment.
+/// placeholders for omitted classifications, Section 7), then
+/// deduplicates and orders the remaining answers by their own text,
+/// keeping proof alignment. Answers arrive restricted, unique and
+/// ordered, so when none binds a don't-care variable there is nothing
+/// to do.
 void StripDontCare(std::vector<Substitution>* answers,
                    std::vector<ProofPtr>* proofs) {
-  std::set<std::string> seen;
-  std::vector<Substitution> kept_answers;
-  std::vector<ProofPtr> kept_proofs;
+  auto binds_dont_care = [](const Substitution& answer) {
+    return std::any_of(
+        answer.bindings().begin(), answer.bindings().end(),
+        [](const auto& b) { return StartsWith(b.first.str(), "_dc"); });
+  };
+  if (std::none_of(answers->begin(), answers->end(), binds_dont_care)) return;
+  struct Kept {
+    Substitution answer;
+    ProofPtr proof;
+  };
+  datalog::OrderedAnswers<Kept> kept;
   for (size_t i = 0; i < answers->size(); ++i) {
+    const Substitution& answer = (*answers)[i];
     Substitution restricted;
-    std::map<Symbol, datalog::Term> sorted(
-        (*answers)[i].bindings().begin(), (*answers)[i].bindings().end());
-    for (const auto& [var, term] : sorted) {
+    for (const auto& [var, term] : answer.bindings()) {
       if (StartsWith(var.str(), "_dc")) continue;
-      restricted.Bind(var, (*answers)[i].Apply(datalog::Term::Var(var)));
+      restricted.Bind(var, answer.Apply(term));
     }
-    if (!seen.insert(restricted.ToString()).second) continue;
-    kept_answers.push_back(std::move(restricted));
-    if (proofs != nullptr && i < proofs->size()) {
-      kept_proofs.push_back((*proofs)[i]);
-    }
+    Kept* slot = kept.Insert(restricted.ToString());
+    if (slot == nullptr) continue;
+    slot->answer = std::move(restricted);
+    if (proofs != nullptr && i < proofs->size()) slot->proof = (*proofs)[i];
   }
-  *answers = std::move(kept_answers);
-  if (proofs != nullptr) *proofs = std::move(kept_proofs);
-}
-
-std::string AnswersKey(const std::vector<Substitution>& answers) {
-  std::string key;
-  for (const Substitution& s : answers) {
-    key += s.ToString();
-    key += ";";
+  answers->clear();
+  if (proofs != nullptr) proofs->clear();
+  for (Kept& k : kept.Take()) {
+    answers->push_back(std::move(k.answer));
+    if (proofs != nullptr) proofs->push_back(std::move(k.proof));
   }
-  return key;
 }
 
 /// Parses `source` as exactly one bodyless m-fact - the only clause
@@ -151,7 +155,9 @@ Result<Engine> Engine::FromStorage(storage::Storage* storage,
     MULTILOG_ASSIGN_OR_RETURN(MAtom fact, ParseFactAtom(rec.fact));
     auto it = FindStoredFact(&db.sigma, fact);
     if (rec.type == storage::WalRecordType::kAssert) {
-      if (it == db.sigma.end()) db.sigma.push_back(MlClause{std::move(fact), {}});
+      if (it == db.sigma.end()) {
+        db.sigma.push_back(MlClause{std::move(fact), {}});
+      }
     } else if (rec.type == storage::WalRecordType::kRetract) {
       if (it != db.sigma.end()) db.sigma.erase(it);
     }
@@ -348,22 +354,25 @@ Result<QueryResult> Engine::QueryLocked(const std::vector<MlLiteral>& goal,
   }
   if (mode == ExecMode::kReduced) return reduced;
 
-  // kCheckBoth: Theorem 6.1 as an executable assertion.
+  // kCheckBoth: Theorem 6.1 as an executable assertion. Both lists keep
+  // the answer-order contract (deduplicated, ordered by text), so they
+  // agree exactly when their texts do, in order.
   trace::Span compare_span(trace::Stage::kCheckCompare);
-  std::vector<Substitution> a = operational.answers;
-  std::vector<Substitution> b = reduced.answers;
-  auto by_text = [](const Substitution& x, const Substitution& y) {
-    return x.ToString() < y.ToString();
+  auto texts = [](const std::vector<Substitution>& answers) {
+    std::vector<std::string> out;
+    out.reserve(answers.size());
+    for (const Substitution& s : answers) out.push_back(s.ToString());
+    return out;
   };
-  std::sort(a.begin(), a.end(), by_text);
-  std::sort(b.begin(), b.end(), by_text);
-  if (AnswersKey(a) != AnswersKey(b)) {
+  const std::vector<std::string> a = texts(operational.answers);
+  const std::vector<std::string> b = texts(reduced.answers);
+  if (a != b) {
     std::string msg =
         "operational and reduced semantics disagree (Theorem 6.1 "
         "violation)\noperational:\n";
-    for (const Substitution& s : a) msg += "  " + s.ToString() + "\n";
+    for (const std::string& s : a) msg += "  " + s + "\n";
     msg += "reduced:\n";
-    for (const Substitution& s : b) msg += "  " + s.ToString() + "\n";
+    for (const std::string& s : b) msg += "  " + s + "\n";
     return Status::Internal(msg);
   }
   return operational;

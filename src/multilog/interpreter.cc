@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <set>
 
 #include "datalog/eval.h"
 
@@ -74,7 +73,19 @@ Interpreter::Interpreter(const CheckedDatabase* cdb, std::string user_level,
       options_(options),
       program_(std::move(program)) {
   for (const Clause& c : program_.clauses()) {
-    clauses_by_pred_[c.head().PredicateId()].push_back(&c);
+    ClauseIndex& index = clauses_by_pred_[c.head().PredicateId()];
+    const auto i = static_cast<uint32_t>(index.clauses.size());
+    index.clauses.push_back(&c);
+    const std::vector<Term>& args = c.head().args();
+    index.by_constant.resize(args.size());
+    index.by_variable.resize(args.size());
+    for (size_t pos = 0; pos < args.size(); ++pos) {
+      if (args[pos].IsConstant()) {
+        index.by_constant[pos][args[pos]].push_back(i);
+      } else if (args[pos].IsVariable()) {
+        index.by_variable[pos].push_back(i);
+      }
+    }
   }
 }
 
@@ -178,12 +189,47 @@ Status Interpreter::SolveBody(const std::vector<Literal>& body, size_t index,
 Status Interpreter::ExpandClauses(const Atom& pattern, AnswerTable* table) {
   auto it = clauses_by_pred_.find(pattern.PredicateId());
   if (it == clauses_by_pred_.end()) return Status::OK();
-  for (const Clause* clause : it->second) {
-    ++rename_counter_;
+  const ClauseIndex& index = it->second;
+
+  // Select through the constant argument position that admits the
+  // fewest clauses; with no constant argument every clause is a
+  // candidate.
+  static const std::vector<uint32_t> kNone;
+  const std::vector<uint32_t>* fixed = nullptr;
+  const std::vector<uint32_t>* open = nullptr;
+  for (size_t pos = 0; pos < pattern.arity(); ++pos) {
+    const Term& arg = pattern.args()[pos];
+    if (!arg.IsConstant()) continue;
+    auto hit = index.by_constant[pos].find(arg);
+    const std::vector<uint32_t>* f =
+        hit == index.by_constant[pos].end() ? &kNone : &hit->second;
+    const std::vector<uint32_t>* o = &index.by_variable[pos];
+    if (fixed == nullptr ||
+        f->size() + o->size() < fixed->size() + open->size()) {
+      fixed = f;
+      open = o;
+    }
+  }
+
+  // rename_counter_ advances once per clause of the predicate, selected
+  // or not, so every renamed clause gets the suffix a scan of all of them
+  // would give it.
+  uint32_t uncounted = 0;  // first clause the counter has not covered
+  auto expand = [&](uint32_t i) -> Status {
+    rename_counter_ += static_cast<int64_t>(i - uncounted) + 1;
+    uncounted = i + 1;
+    const Clause* clause = index.clauses[i];
+    // A constant pattern argument facing a different constant or a
+    // compound term cannot unify: reject before renaming.
+    for (size_t pos = 0; pos < pattern.arity(); ++pos) {
+      const Term& p = pattern.args()[pos];
+      const Term& h = clause->head().args()[pos];
+      if (p.IsConstant() && !h.IsVariable() && p != h) return Status::OK();
+    }
     Atom head = datalog::RenameAtom(clause->head(), rename_counter_);
     std::optional<Substitution> unified =
         datalog::UnifyAtoms(pattern, head, Substitution());
-    if (!unified.has_value()) continue;
+    if (!unified.has_value()) return Status::OK();
 
     std::vector<Literal> body;
     body.reserve(clause->body().size());
@@ -208,7 +254,25 @@ Status Interpreter::ExpandClauses(const Atom& pattern, AnswerTable* table) {
       MULTILOG_RETURN_IF_ERROR(
           AddAnswer(table, std::move(answer), std::move(proof)));
     }
+    return Status::OK();
+  };
+
+  if (fixed == nullptr) {
+    for (uint32_t i = 0; i < index.clauses.size(); ++i) {
+      MULTILOG_RETURN_IF_ERROR(expand(i));
+    }
+  } else {
+    // Merge the two sorted lists, keeping program order.
+    size_t a = 0;
+    size_t b = 0;
+    while (a < fixed->size() || b < open->size()) {
+      const bool take_fixed = b == open->size() ||
+                              (a < fixed->size() && (*fixed)[a] < (*open)[b]);
+      const uint32_t i = take_fixed ? (*fixed)[a++] : (*open)[b++];
+      MULTILOG_RETURN_IF_ERROR(expand(i));
+    }
   }
+  rename_counter_ += static_cast<int64_t>(index.clauses.size() - uncounted);
   return Status::OK();
 }
 
@@ -506,15 +570,15 @@ Result<std::vector<Interpreter::Answer>> Interpreter::SolveLiterals(
     }
   }
 
-  std::set<std::string> seen;
-  std::vector<Answer> answers;
+  datalog::OrderedAnswers<Answer> answers;
   for (Match& m : matches) {
     Substitution restricted;
     for (Symbol v : goal_vars) {
       Term value = m.subst.Apply(Term::Var(v));
       if (!value.IsVariable()) restricted.Bind(v, value);
     }
-    if (!seen.insert(restricted.ToString()).second) continue;
+    Answer* slot = answers.Insert(restricted.ToString());
+    if (slot == nullptr) continue;
     ProofPtr proof;
     if (m.proofs.empty()) {
       proof = MakeProof("empty", "[]");
@@ -524,13 +588,9 @@ Result<std::vector<Interpreter::Answer>> Interpreter::SolveLiterals(
       proof = MakeProof("and", "<D, " + user_level_ + "> |- (goal)",
                         std::move(m.proofs));
     }
-    answers.push_back(Answer{std::move(restricted), std::move(proof)});
+    *slot = Answer{std::move(restricted), std::move(proof)};
   }
-  std::sort(answers.begin(), answers.end(),
-            [](const Answer& a, const Answer& b) {
-              return a.subst.ToString() < b.subst.ToString();
-            });
-  return answers;
+  return answers.Take();
 }
 
 }  // namespace multilog::ml

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -156,6 +157,11 @@ void Router::AcceptLoop() {
       continue;
     }
     connections_open_.fetch_add(1, std::memory_order_relaxed);
+    // Answers are small frames; without TCP_NODELAY a pipelining
+    // client's in-order answers sit in Nagle's buffer waiting for
+    // delayed ACKs (the server sets it on its sessions too).
+    int nodelay = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
     std::lock_guard<std::mutex> lock(conn_mu_);
     // Free what previous sessions left behind before adding another -
     // under connection churn the table stays bounded by the number of

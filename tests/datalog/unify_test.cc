@@ -94,6 +94,9 @@ TEST(UnifyTest, RenameApart) {
   // Renaming leaves constants alone.
   Atom b("p", {Term::Sym("a"), Term::Int(3)});
   EXPECT_EQ(RenameAtom(b, 7).ToString(), "p(a, 3)");
+  // A long-lived interpreter's rename counter passes 2^31.
+  EXPECT_EQ(RenameAtom(a, int64_t{1} << 40).ToString(),
+            "p(X#1099511627776, f(Y#1099511627776))");
 }
 
 TEST(UnifyTest, SubstitutionToStringSorted) {

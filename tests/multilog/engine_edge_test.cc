@@ -2,6 +2,7 @@
 
 #include "multilog/engine.h"
 #include "multilog/parser.h"
+#include "multilog/proof.h"
 
 namespace multilog::ml {
 namespace {
@@ -52,6 +53,33 @@ TEST(EngineEdgeTest, ProofsAreDeterministic) {
   ASSERT_EQ(r2->proofs.size(), 1u);
   EXPECT_EQ(RenderProof(*r1->proofs[0]), RenderProof(*r2->proofs[0]));
   EXPECT_EQ(ProofSize(*r1->proofs[0]), ProofSize(*r2->proofs[0]));
+}
+
+TEST(EngineEdgeTest, DontCareAnswersAreOrderedByTheirOwnText) {
+  // With the don't-care classification stripped, "{V=o10}" sorts before
+  // "{V=o1}" although "{V=o1, _dc0=u}" sorts before "{V=o10, _dc0=c}":
+  // the stripped list must be ordered by its own text, as every answer
+  // list is (the router's merge of shard answers produces that order).
+  const char* src = R"(
+    level(u). level(c). order(u, c).
+    u[p(k : a -u-> o1)].
+    c[p(k : a -c-> o10)].
+  )";
+  Result<Engine> engine = Engine::FromSource(src);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  for (ExecMode mode : {ExecMode::kOperational, ExecMode::kReduced,
+                        ExecMode::kCheckBoth}) {
+    Result<QueryResult> r =
+        engine->QuerySource("c[p(k : a -> V)] << opt", "c", mode);
+    ASSERT_TRUE(r.ok()) << r.status();
+    ASSERT_EQ(r->answers.size(), 2u);
+    EXPECT_EQ(r->answers[0].ToString(), "{V=o10}");
+    EXPECT_EQ(r->answers[1].ToString(), "{V=o1}");
+    if (mode != ExecMode::kReduced) {
+      ASSERT_EQ(r->proofs.size(), 2u);
+      EXPECT_NE(RenderProof(*r->proofs[0]).find("o10"), std::string::npos);
+    }
+  }
 }
 
 TEST(EngineEdgeTest, GoalOnUnknownModeIsEmptyNotError) {
