@@ -38,11 +38,11 @@ namespace multilog::trace {
 ///
 /// The aggregate arrays are plain relaxed atomics - any thread, any
 /// time. A Collector is strictly thread-local: only the thread that
-/// installed it (via ScopedCollector) may open/close spans on it, and
-/// handoff across threads (the server creates it on the reader thread,
-/// the worker fills it, the reader serializes it) must be synchronized
-/// externally - the server's promise/future pair provides the
-/// happens-before edges. Spans on threads *without* a collector (e.g.
+/// installed it (via ScopedCollector) may open/close spans on it. The
+/// server's collector never crosses threads: the worker that runs a
+/// query creates it (from timestamps the serving loop took when it read
+/// and parsed the request), fills it, and serializes the tree into the
+/// response itself. Spans on threads *without* a collector (e.g.
 /// evaluator workers inside ParallelFor) feed the aggregates only.
 
 /// The stage taxonomy (DESIGN.md §13). Order is the exposition order.
@@ -120,7 +120,7 @@ struct SpanNode {
 };
 
 /// Collects one query's span tree. Strictly single-threaded use; see
-/// the file comment for the cross-thread handoff contract.
+/// the file comment.
 class Collector {
  public:
   using Clock = std::chrono::steady_clock;

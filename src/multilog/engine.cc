@@ -1,7 +1,6 @@
 #include "multilog/engine.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 
 #include "common/str_util.h"
@@ -103,18 +102,6 @@ std::vector<MlClause>::iterator FindStoredFact(std::vector<MlClause>* sigma,
 }
 
 }  // namespace
-
-bool IncrementalMaintenanceDefault() {
-  return std::getenv("MULTILOG_NO_INCREMENTAL") == nullptr;
-}
-
-bool MagicPlansDefault() {
-  return std::getenv("MULTILOG_NO_MAGIC") == nullptr;
-}
-
-bool GroupCommitDefault() {
-  return std::getenv("MULTILOG_NO_GROUP_COMMIT") == nullptr;
-}
 
 Result<std::string> RoutingKeyOfFact(std::string_view fact_source) {
   MULTILOG_ASSIGN_OR_RETURN(MAtom fact, ParseFactAtom(fact_source));

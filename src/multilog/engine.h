@@ -34,24 +34,6 @@ enum class ExecMode {
   kCheckBoth,
 };
 
-/// The construction-time default for EngineOptions::incremental: true
-/// unless the environment variable MULTILOG_NO_INCREMENTAL is set (the
-/// CI ablation leg and `multilogd --no-incremental` force the
-/// invalidate-and-recompute path through it).
-bool IncrementalMaintenanceDefault();
-
-/// The construction-time default for EngineOptions::magic: true unless
-/// the environment variable MULTILOG_NO_MAGIC is set (the CI ablation
-/// leg and `multilogd --no-magic` force every query through the full
-/// bottom-up path).
-bool MagicPlansDefault();
-
-/// The construction-time default for EngineOptions::group_commit: true
-/// unless the environment variable MULTILOG_NO_GROUP_COMMIT is set (the
-/// CI ablation leg and `multilogd --no-group-commit` force one fsync
-/// per committed write through it).
-bool GroupCommitDefault();
-
 /// The routing key of one mutation, without an engine: parses
 /// `fact_source` exactly as Assert/Retract would (one bodyless ground
 /// m-fact) and returns the entity key's canonical rendering
@@ -79,8 +61,9 @@ struct EngineOptions {
   /// invalidating and recomputing them on the next query. Answers are
   /// byte-identical either way (property-tested); a level falls back to
   /// invalidation when its change cannot be applied incrementally.
-  /// Disable for ablation or as a safety valve.
-  bool incremental = IncrementalMaintenanceDefault();
+  /// Disable for ablation or as a safety valve (`multilogd
+  /// --no-incremental`).
+  bool incremental = true;
   /// Goal-directed query compilation: when a reduced-mode query binds
   /// at least one argument and no full model is cached for its level,
   /// the engine compiles (and caches) a magic-sets rewrite specialized
@@ -90,8 +73,8 @@ struct EngineOptions {
   /// rewrite cannot serve (all-free binding patterns, reachable
   /// negation/aggregates) fall back to the full path, counted by
   /// EngineCounters::magic_fallbacks. Disable for ablation or as a
-  /// safety valve.
-  bool magic = MagicPlansDefault();
+  /// safety valve (`multilogd --no-magic`).
+  bool magic = true;
   /// Group commit on the durable path: a mutation appends its WAL
   /// record unsynced under the database lock, then releases the lock
   /// and joins a shared fdatasync (Storage::SyncTo) before
@@ -101,8 +84,9 @@ struct EngineOptions {
   /// the write *before* it is durable, so a concurrent reader can
   /// observe a write whose committer has not yet been acked - and a
   /// crash in that window loses a write nobody was told succeeded.
-  /// Disable for ablation or strict log-before-apply ordering.
-  bool group_commit = GroupCommitDefault();
+  /// Disable for ablation or strict log-before-apply ordering
+  /// (`multilogd --no-group-commit`).
+  bool group_commit = true;
 };
 
 /// One query's outcome. `answers[i]` pairs with `proofs[i]` when proofs

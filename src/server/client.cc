@@ -76,25 +76,6 @@ Result<Client> Client::Connect(const std::string& host, uint16_t port) {
   return Client(fd);
 }
 
-Result<Client> Client::ConnectWithRetry(const std::string& host,
-                                        uint16_t port, int attempts,
-                                        int64_t backoff_ms) {
-  if (attempts < 1) attempts = 1;
-  Result<Client> last = Status::Internal("no connect attempts made");
-  int64_t delay = backoff_ms;
-  for (int i = 0; i < attempts; ++i) {
-    last = Connect(host, port);
-    // An invalid host never becomes valid; only connection refusals
-    // (daemon still binding) are worth waiting out.
-    if (last.ok() || last.status().IsInvalidArgument()) return last;
-    if (i + 1 < attempts && delay > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-      delay = std::min<int64_t>(delay * 2, 2000);
-    }
-  }
-  return last;
-}
-
 Result<Client> Client::ConnectAnyWithRetry(
     const std::vector<Endpoint>& endpoints, int attempts,
     int64_t backoff_ms) {
@@ -108,8 +89,8 @@ Result<Client> Client::ConnectAnyWithRetry(
     for (const Endpoint& ep : endpoints) {
       last = Connect(ep.host, ep.port);
       if (last.ok()) return last;
-      // An invalid host in the *list* is a configuration error worth
-      // failing fast on, same as ConnectWithRetry's single-host rule.
+      // An invalid host never becomes valid: a configuration error
+      // worth failing fast on. Only refusals are worth waiting out.
       if (last.status().IsInvalidArgument()) return last;
     }
     if (round + 1 < attempts && delay > 0) {

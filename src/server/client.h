@@ -29,20 +29,12 @@ class Client {
   /// resolver-free (no DNS in the hot reconnect path).
   static Result<Client> Connect(const std::string& host, uint16_t port);
 
-  /// Connect with retries: `attempts` tries, sleeping `backoff_ms`
-  /// between failures with exponential growth (capped at 2s). One
-  /// attempt with zero backoff is plain Connect. Replaces the
-  /// hand-rolled "sleep 0.3 and hope" loops in scripts that race a
-  /// freshly spawned daemon's bind.
-  static Result<Client> ConnectWithRetry(const std::string& host,
-                                         uint16_t port, int attempts,
-                                         int64_t backoff_ms);
-
-  /// Failover connect: tries each endpoint in order, once per round,
-  /// for `attempts` rounds (so a comma-separated --connect list keeps
-  /// working when its first entry is down). Sleeps `backoff_ms` between
-  /// rounds with the same exponential growth as ConnectWithRetry;
-  /// returns the last failure when every round exhausts the list.
+  /// Failover connect with retries: tries each endpoint in order, once
+  /// per round, for `attempts` rounds (so a comma-separated --connect
+  /// list keeps working when its first entry is down, and scripts need
+  /// no "sleep and hope" loops racing a freshly spawned daemon's bind).
+  /// Sleeps `backoff_ms` between rounds, doubling up to 2s; returns the
+  /// last failure when every round exhausts the list.
   static Result<Client> ConnectAnyWithRetry(
       const std::vector<Endpoint>& endpoints, int attempts,
       int64_t backoff_ms);

@@ -205,7 +205,7 @@ void PromCounter(std::string* out, const char* name, const char* help,
 
 }  // namespace
 
-std::string ServerMetrics::PrometheusText() const {
+std::string ServerMetrics::LoopPrometheusText() const {
   std::string out;
   PromCounter(&out, "multilog_connections_accepted_total",
               "Connections accepted.", connections_accepted.load());
@@ -229,6 +229,14 @@ std::string ServerMetrics::PrometheusText() const {
   PromCounter(&out, "multilog_requests_rejected_overloaded_total",
               "Requests refused at the in-flight cap.",
               rejected_overloaded.load());
+  PromCounter(&out, "multilog_response_write_errors_total",
+              "Response frames that failed to send (session closed).",
+              response_write_errors.load());
+  return out;
+}
+
+std::string ServerMetrics::PrometheusText() const {
+  std::string out = LoopPrometheusText();
   PromCounter(&out, "multilog_queries_ok_total", "Queries answered.",
               queries_ok.load());
   PromCounter(&out, "multilog_query_errors_total",
@@ -243,9 +251,6 @@ std::string ServerMetrics::PrometheusText() const {
               writes_ok.load());
   PromCounter(&out, "multilog_write_errors_total",
               "Mutations rejected or failed.", write_errors.load());
-  PromCounter(&out, "multilog_response_write_errors_total",
-              "Response frames that failed to send (session closed).",
-              response_write_errors.load());
 
   PromFamily(&out, "multilog_queries_by_level_total",
              "Queries answered, by session level and exec mode.", "counter");

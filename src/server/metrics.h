@@ -116,6 +116,11 @@ class ServerMetrics {
   /// trace-stage families before serving it; see DESIGN.md §13.
   std::string PrometheusText() const;
 
+  /// The serving loop's own families - connections and requests, the
+  /// start of PrometheusText(). The router serves these with its
+  /// routing families.
+  std::string LoopPrometheusText() const;
+
  private:
   static constexpr size_t kModes = 3;
   struct LevelCounters {

@@ -34,7 +34,9 @@
 // --sample source is parsed for the lattice and the routing analysis
 // only; the shards must have been seeded with the matching per-shard
 // partition of the same source (examples/sharding_demo.sh shows the
-// full flow):
+// full flow). The router serves from the same loop with its default
+// workers, so the engine's flags (--workers, --max-inflight,
+// --slow-query-ms, --no-*) are refused rather than ignored:
 //
 //   $ multilogd --sample --port 7101 --data-dir /var/lib/ml-shard-0
 //   $ multilogd --sample --port 7102 --data-dir /var/lib/ml-shard-1
@@ -97,6 +99,7 @@ int main(int argc, char** argv) {
   bool is_replica = false;
   bool is_router = false;
   std::vector<server::Endpoint> shard_endpoints;
+  std::vector<std::string> engine_flags;  // a router cannot honour these
   server::ServerOptions options;
   ml::EngineOptions engine_options;
   replication::Replicator::Options replica_options;
@@ -160,6 +163,7 @@ int main(int argc, char** argv) {
       }
       options.port = *port;
     } else if (arg == "--workers") {
+      engine_flags.push_back(arg);
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       options.num_workers = static_cast<size_t>(std::atol(v));
@@ -168,6 +172,7 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage(argv[0]);
       options.max_connections = static_cast<size_t>(std::atol(v));
     } else if (arg == "--max-inflight") {
+      engine_flags.push_back(arg);
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       options.max_in_flight = static_cast<size_t>(std::atol(v));
@@ -180,14 +185,18 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage(argv[0]);
       options.default_deadline_ms = std::atol(v);
     } else if (arg == "--slow-query-ms") {
+      engine_flags.push_back(arg);
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       options.slow_query_ms = std::atol(v);
     } else if (arg == "--no-incremental") {
+      engine_flags.push_back(arg);
       engine_options.incremental = false;
     } else if (arg == "--no-magic") {
+      engine_flags.push_back(arg);
       engine_options.magic = false;
     } else if (arg == "--no-group-commit") {
+      engine_flags.push_back(arg);
       engine_options.group_commit = false;
     } else if (arg == "--mode") {
       const char* v = next();
@@ -211,6 +220,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "--router holds no data: it takes neither --data-dir nor "
                  "--replica-of\n");
+    return Usage(argv[0]);
+  }
+  if (is_router && !engine_flags.empty()) {
+    std::fprintf(stderr, "--router runs no engine: it does not take %s\n",
+                 engine_flags.front().c_str());
     return Usage(argv[0]);
   }
 

@@ -28,8 +28,11 @@ namespace multilog::server {
 /// requests are legal but indistinguishable, so only `id`-tagged
 /// requests should ever overlap. HELLO, BYE, and `replicate` stay
 /// ordered: the server defers them until every in-flight request on
-/// the session has completed. The full grammar, session rules, and
-/// limits are documented in DESIGN.md §11 and §18.
+/// the session has completed. An engine daemon and the sharding router
+/// (multilogd --router) serve the protocol from the same loop, so
+/// framing, pipelining, ordering, and limits are identical on both. The
+/// full grammar, session rules, and limits are documented in DESIGN.md
+/// §11 and §18.
 ///
 /// Requests (the `cmd` member selects):
 ///   {"cmd":"hello","level":L,"mode":M?}     bind the session clearance
@@ -40,6 +43,7 @@ namespace multilog::server {
 ///                                           applied_seqno to reach it, then
 ///                                           fails with DeadlineExceeded)
 ///   {"cmd":"sql","sql":S}                   MSQL at the session level
+///                                           (the router refuses it)
 ///   {"cmd":"assert","fact":F}               write F at the session level
 ///   {"cmd":"retract","fact":F}              remove F at the session level
 ///   {"cmd":"checkpoint"}                    fold the WAL into a snapshot
@@ -48,6 +52,7 @@ namespace multilog::server {
 ///   {"cmd":"ping"}                          liveness probe
 ///   {"cmd":"bye"}                           orderly close
 ///   {"cmd":"replicate","from_seqno":N}      become a replication stream
+///                                           (the router refuses it)
 ///   {"cmd":"shardmap"}                      the versioned shard map
 ///                                           (served by multilogd --router;
 ///                                           a plain engine daemon refuses)

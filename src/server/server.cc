@@ -13,28 +13,15 @@
 #include <array>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
-#include <iostream>
 #include <optional>
-#include <sstream>
 #include <utility>
 
-#include "common/cancel.h"
-#include "msql/executor.h"
-#include "multilog/proof.h"
-#include "replication/log_shipper.h"
+#include "server/engine_handler.h"
 
 namespace multilog::server {
 
 namespace {
-
-uint64_t ElapsedMicros(std::chrono::steady_clock::time_point start) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-}
 
 /// size_t decrement-on-exit for the in-flight admission counter.
 class InFlightGuard {
@@ -47,45 +34,6 @@ class InFlightGuard {
  private:
   std::atomic<size_t>* counter_;
 };
-
-/// One span-tree node as response JSON: stage name, start offset, and
-/// duration in µs, with nested children.
-Json TraceNodeJson(const trace::SpanNode& node) {
-  Json j = Json::Object();
-  j.Set("stage", Json::Str(trace::StageName(node.stage)));
-  j.Set("start_us", Json::Int(static_cast<int64_t>(node.start_micros)));
-  j.Set("dur_us", Json::Int(static_cast<int64_t>(node.duration_micros)));
-  if (!node.children.empty()) {
-    Json children = Json::Array();
-    for (const trace::SpanNode& child : node.children) {
-      children.Push(TraceNodeJson(child));
-    }
-    j.Set("children", std::move(children));
-  }
-  return j;
-}
-
-/// The leaf span with the largest duration - where the request actually
-/// spent its time (inner spans carry the exclusive cost). nullptr when
-/// the tree is only its root.
-const trace::SpanNode* DominantSpan(const trace::SpanNode& root) {
-  const trace::SpanNode* best = nullptr;
-  std::vector<const trace::SpanNode*> stack;
-  for (const trace::SpanNode& child : root.children) stack.push_back(&child);
-  while (!stack.empty()) {
-    const trace::SpanNode* node = stack.back();
-    stack.pop_back();
-    if (node->children.empty()) {
-      if (best == nullptr || node->duration_micros > best->duration_micros) {
-        best = node;
-      }
-    }
-    for (const trace::SpanNode& child : node->children) {
-      stack.push_back(&child);
-    }
-  }
-  return best;
-}
 
 /// `<decimal byte count>\n<payload>` - the same frame WriteFrame emits,
 /// built as a string so the loop can buffer it for a nonblocking
@@ -111,14 +59,6 @@ constexpr uint32_t kReadEvents = EPOLLIN | EPOLLHUP | EPOLLERR | EPOLLRDHUP;
 
 }  // namespace
 
-struct Server::SqlHandle {
-  /// msql::Session is stateful; pipelined statements serialize here.
-  std::mutex mu;
-  msql::Session session;
-  explicit SqlHandle(const mls::BeliefModeRegistry* registry)
-      : session(registry) {}
-};
-
 struct Server::ParkedQuery {
   Request req;
   std::chrono::steady_clock::time_point give_up;
@@ -142,10 +82,10 @@ struct Server::Session {
   bool hello_done = false;
   std::string level;
   ml::ExecMode mode = ml::ExecMode::kReduced;
-  std::shared_ptr<SqlHandle> sql;
 
   /// Requests dispatched to the pool whose completions haven't been
-  /// consumed yet (includes stats/metrics; ordered commands wait on it).
+  /// consumed yet (stats/metrics/shardmap too; ordered commands wait on
+  /// it).
   size_t in_flight = 0;
   std::vector<ParkedQuery> parked;
 
@@ -171,8 +111,7 @@ struct Server::Task {
   /// Session snapshot at dispatch: the task outlives the session if the
   /// peer disconnects mid-query.
   std::string level;
-  ml::ExecMode session_mode = ml::ExecMode::kReduced;
-  std::shared_ptr<SqlHandle> sql;
+  ml::ExecMode mode = ml::ExecMode::kReduced;
   trace::Collector::Clock::time_point t_read;
   trace::Collector::Clock::time_point t_parsed;
   /// Whether this task holds one of the max_in_flight slots.
@@ -182,11 +121,14 @@ struct Server::Task {
 Server::Server(ml::Engine* engine, ServerOptions options,
                std::vector<SqlCatalogEntry> catalog,
                const mls::BeliefModeRegistry* belief_registry)
-    : engine_(engine),
+    : engine_handler_(std::make_unique<EngineHandler>(
+          engine, options, std::move(catalog), belief_registry)),
+      handler_(engine_handler_.get()),
       options_(options),
-      catalog_(std::move(catalog)),
-      belief_registry_(belief_registry),
       metrics_(engine->lattice().TopologicalOrder()) {}
+
+Server::Server(RequestHandler* handler, ServerOptions options)
+    : handler_(handler), options_(options), metrics_({}) {}
 
 Server::~Server() { Stop(); }
 
@@ -290,6 +232,10 @@ void Server::Stop() {
   started_ = false;
 }
 
+void Server::SetReplicator(const replication::Replicator* replicator) {
+  if (engine_handler_ != nullptr) engine_handler_->SetReplicator(replicator);
+}
+
 void Server::WakeLoop() {
   const uint64_t one = 1;
   [[maybe_unused]] const ssize_t n =
@@ -368,7 +314,7 @@ void Server::BeginDrain() {
       ParkedQuery parked = std::move(s->parked.back());
       s->parked.pop_back();
       metrics_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-      alive = QueueResponse(s, MinSeqnoError(engine_->AppliedSeqno(),
+      alive = QueueResponse(s, MinSeqnoError(handler_->AppliedSeqno(),
                                              parked.req),
                             parked.req.id);
     }
@@ -524,6 +470,9 @@ bool Server::ProcessPayload(Session* s, std::string payload) {
   Request req = std::move(*parsed);
   const auto t_parsed = trace::Collector::Clock::now();
 
+  if (Status refusal = handler_->Serves(req.cmd); !refusal.ok()) {
+    return QueueResponse(s, ErrorResponse(refusal), req.id);
+  }
   switch (req.cmd) {
     case Request::Cmd::kPing: {
       Json resp = OkResponse();
@@ -531,10 +480,11 @@ bool Server::ProcessPayload(Session* s, std::string payload) {
       return QueueResponse(s, std::move(resp), req.id);
     }
     case Request::Cmd::kStats:
-    case Request::Cmd::kMetrics: {
-      // Off-loop (their handlers take engine locks) but exempt from the
-      // in-flight cap, as in the seed server: observability must work
-      // on an overloaded server.
+    case Request::Cmd::kMetrics:
+    case Request::Cmd::kShardMap: {
+      // Off-loop (the engine's take engine locks) but exempt from the
+      // in-flight cap, as in the seed server: observability and the
+      // shard map must work on an overloaded server.
       s->in_flight += 1;
       DispatchTask(s, std::move(req), t_read, t_parsed, /*admitted=*/false);
       return true;
@@ -547,38 +497,15 @@ bool Server::ProcessPayload(Session* s, std::string payload) {
                 "session is already bound; reconnect to change clearance")),
             req.id);
       }
-      if (!engine_->lattice().Contains(req.level)) {
-        return QueueResponse(s,
-                             ErrorResponse(Status::SecurityViolation(
-                                 "unknown clearance level '" + req.level +
-                                 "'")),
-                             req.id);
+      const ml::ExecMode mode = req.mode.has_value() ? *req.mode : s->mode;
+      Result<Json> hello = handler_->Hello(req.level, mode);
+      if (!hello.ok()) {
+        return QueueResponse(s, ErrorResponse(hello.status()), req.id);
       }
       s->hello_done = true;
       s->level = req.level;
-      if (req.mode.has_value()) s->mode = *req.mode;
-      if (!catalog_.empty()) {
-        s->sql = std::make_shared<SqlHandle>(belief_registry_);
-        for (const SqlCatalogEntry& entry : catalog_) {
-          s->sql->session.RegisterRelation(entry.name, entry.relation);
-        }
-        s->sql->session.SetUserContext(s->level);
-        s->sql->session.LockUserContext();
-      }
-      Json resp = OkResponse();
-      resp.Set("server", Json::Str("multilogd"));
-      resp.Set("level", Json::Str(s->level));
-      resp.Set("mode", Json::Str(ExecModeName(s->mode)));
-      resp.Set("sql", Json::Bool(s->sql != nullptr));
-      return QueueResponse(s, std::move(resp), req.id);
-    }
-    case Request::Cmd::kShardMap: {
-      return QueueResponse(
-          s,
-          ErrorResponse(Status::InvalidArgument(
-              "this daemon is not a router; 'shardmap' is served by "
-              "multilogd --router")),
-          req.id);
+      s->mode = mode;
+      return QueueResponse(s, std::move(hello).value(), req.id);
     }
     case Request::Cmd::kBye:
     case Request::Cmd::kReplicate: {
@@ -615,11 +542,11 @@ bool Server::ProcessPayload(Session* s, std::string payload) {
       // slot (the seed burned both in a sleep loop), so queries with
       // satisfied floors keep flowing around it.
       if (req.cmd == Request::Cmd::kQuery && req.min_seqno > 0 &&
-          engine_->AppliedSeqno() < req.min_seqno) {
+          handler_->AppliedSeqno() < req.min_seqno) {
         if (req.wait_ms <= 0) {
           metrics_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
           return QueueResponse(
-              s, MinSeqnoError(engine_->AppliedSeqno(), req), req.id);
+              s, MinSeqnoError(handler_->AppliedSeqno(), req), req.id);
         }
         const auto give_up = std::chrono::steady_clock::now() +
                              std::chrono::milliseconds(req.wait_ms);
@@ -660,8 +587,7 @@ void Server::DispatchTask(Session* s, Request req,
   task->gen = s->gen;
   task->req = std::move(req);
   task->level = s->level;
-  task->session_mode = s->mode;
-  task->sql = s->sql;
+  task->mode = s->mode;
   task->t_read = t_read;
   task->t_parsed = t_parsed;
   task->admitted = admitted;
@@ -676,74 +602,22 @@ void Server::RunTask(const std::shared_ptr<Task>& task,
   std::optional<InFlightGuard> slot;
   if (task->admitted) slot.emplace(&in_flight_);
 
-  const Request& req = task->req;
-  // A collector rides along when the client asked for a trace or the
-  // slow-query log needs a span tree to attribute time.
-  std::optional<trace::Collector> collector;
-  if (req.cmd == Request::Cmd::kQuery &&
-      (req.want_trace || options_.slow_query_ms >= 0)) {
-    collector.emplace(task->t_read);
-    collector->AddLeaf(trace::Stage::kParse, task->t_read, task->t_parsed);
-    collector->AddLeaf(trace::Stage::kQueueWait, t_submit,
-                       trace::Collector::Clock::now());
-  }
   Json resp;
-  {
-    trace::ScopedCollector install(collector.has_value() ? &*collector
-                                                         : nullptr);
-    try {
-      switch (req.cmd) {
-        case Request::Cmd::kQuery:
-          resp = HandleQuery(*task);
-          break;
-        case Request::Cmd::kSql:
-          resp = HandleSql(*task);
-          break;
-        case Request::Cmd::kStats: {
-          resp = OkResponse();
-          resp.Set("stats", StatsJson());
-          break;
-        }
-        case Request::Cmd::kMetrics: {
-          resp = OkResponse();
-          resp.Set("format", Json::Str("prometheus"));
-          resp.Set("body", Json::Str(MetricsText()));
-          break;
-        }
-        default:
-          resp = HandleWrite(*task);
-          break;
-      }
-    } catch (const std::exception& e) {
-      // A handler exception must not kill the worker, and the client
-      // still deserves an answer.
-      resp = ErrorResponse(Status::Internal(
-          std::string("handler raised an exception: ") + e.what()));
-    } catch (...) {
-      resp = ErrorResponse(
-          Status::Internal("handler raised an unknown exception"));
-    }
+  try {
+    resp = handler_->Handle(Call{task->req, task->level, task->mode,
+                                 task->t_read, task->t_parsed, t_submit,
+                                 metrics_,
+                                 in_flight_.load(std::memory_order_relaxed)});
+  } catch (const std::exception& e) {
+    // A handler exception must not kill the worker, and the client
+    // still deserves an answer.
+    resp = ErrorResponse(Status::Internal(
+        std::string("handler raised an exception: ") + e.what()));
+  } catch (...) {
+    resp = ErrorResponse(
+        Status::Internal("handler raised an unknown exception"));
   }
-  // Close the root when the work ends: completion-queue latency back to
-  // the loop is scheduler noise, not query time.
-  const auto t_done = trace::Collector::Clock::now();
-  if (collector.has_value()) {
-    const trace::SpanNode root = collector->Finish(t_done);
-    if (req.want_trace) {
-      Json tj = TraceNodeJson(root);
-      if (collector->dropped_spans() > 0) {
-        tj.Set("dropped_spans",
-               Json::Int(static_cast<int64_t>(collector->dropped_spans())));
-      }
-      resp.Set("trace", std::move(tj));
-    }
-    if (options_.slow_query_ms >= 0 &&
-        root.duration_micros >=
-            static_cast<uint64_t>(options_.slow_query_ms) * 1000) {
-      LogSlowQuery(*task, root);
-    }
-  }
-  if (req.id.has_value()) resp.Set("id", Json::Int(*req.id));
+  if (task->req.id.has_value()) resp.Set("id", Json::Int(*task->req.id));
   // Release the admission slot BEFORE the response becomes visible: a
   // client that sees this answer and immediately sends its next request
   // must not bounce off a slot the finished query still pins.
@@ -808,7 +682,7 @@ void Server::DrainCompletions() {
 
 void Server::CheckParked() {
   if (parked_fds_.empty()) return;
-  const uint64_t applied = engine_->AppliedSeqno();
+  const uint64_t applied = handler_->AppliedSeqno();
   const auto now = std::chrono::steady_clock::now();
   std::vector<int> fds(parked_fds_.begin(), parked_fds_.end());
   for (const int fd : fds) {
@@ -976,7 +850,6 @@ void Server::StartReplication(Session* s, uint64_t from_seqno) {
   parked_fds_.erase(fd);
   sessions_.erase(fd);  // frees the session state; the fd stays open
   metrics_.sessions_reaped.fetch_add(1, std::memory_order_relaxed);
-  replication_streams_.fetch_add(1, std::memory_order_relaxed);
   // ServeReplication writes with blocking I/O.
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
@@ -987,8 +860,7 @@ void Server::StartReplication(Session* s, uint64_t from_seqno) {
   Stream* stream = streams_.back().get();
   stream->fd = fd;
   stream->thread = std::thread([this, stream, from_seqno] {
-    replication::ServeReplication(stream->fd, engine_, from_seqno,
-                                  &stopping_);
+    handler_->ServeReplication(stream->fd, from_seqno, stopping_);
     // The gauge drops here so admission sees it promptly; the fd is
     // closed by the reaper (after the join), never by this thread, so
     // it cannot be reused while anything could still name it.
@@ -1018,382 +890,6 @@ void Server::CloseSession(Session* s) {
   metrics_.connections_open.fetch_sub(1, std::memory_order_acq_rel);
   metrics_.sessions_reaped.fetch_add(1, std::memory_order_relaxed);
   sessions_.erase(fd);  // frees the Session - the churn-leak fix itself
-}
-
-Json Server::HandleQuery(const Task& task) {
-  const Request& req = task.req;
-  // Deadline precedence: the request's own deadline_ms (0 is a valid
-  // "already expired" probe), else the server default, else none.
-  CancelToken cancel;
-  const CancelToken* cancel_ptr = nullptr;
-  if (req.deadline_ms >= 0) {
-    cancel.SetTimeout(std::chrono::milliseconds(req.deadline_ms));
-    cancel_ptr = &cancel;
-  } else if (options_.default_deadline_ms > 0) {
-    cancel.SetTimeout(std::chrono::milliseconds(options_.default_deadline_ms));
-    cancel_ptr = &cancel;
-  }
-  const ml::ExecMode mode =
-      req.mode.has_value() ? *req.mode : task.session_mode;
-
-  const auto start = std::chrono::steady_clock::now();
-  Result<ml::QueryResult> result = ml::QueryResult{};
-  {
-    trace::Span exec_span(trace::Stage::kExecute);
-    result = engine_->QuerySource(req.goal, task.level, mode, cancel_ptr);
-  }
-  const uint64_t micros = ElapsedMicros(start);
-  metrics_.RecordQuery(task.level, static_cast<size_t>(mode), micros);
-
-  if (!result.ok()) {
-    if (result.status().IsDeadlineExceeded()) {
-      metrics_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      metrics_.query_errors.fetch_add(1, std::memory_order_relaxed);
-    }
-    return ErrorResponse(result.status());
-  }
-  metrics_.queries_ok.fetch_add(1, std::memory_order_relaxed);
-  metrics_.rows_returned.fetch_add(result->answers.size(),
-                                   std::memory_order_relaxed);
-
-  trace::Span serialize_span(trace::Stage::kSerialize);
-  Json resp = OkResponse();
-  resp.Set("level", Json::Str(task.level));
-  resp.Set("mode", Json::Str(ExecModeName(mode)));
-  Json answers = Json::Array();
-  for (const datalog::Substitution& answer : result->answers) {
-    answers.Push(Json::Str(answer.ToString()));
-  }
-  resp.Set("count", Json::Int(static_cast<int64_t>(result->answers.size())));
-  resp.Set("answers", std::move(answers));
-  if (req.want_proofs && !result->proofs.empty()) {
-    Json proofs = Json::Array();
-    for (const ml::ProofPtr& proof : result->proofs) {
-      proofs.Push(Json::Str(ml::RenderProof(*proof)));
-    }
-    resp.Set("proofs", std::move(proofs));
-  }
-  resp.Set("elapsed_ms", Json::Double(static_cast<double>(micros) / 1000.0));
-  return resp;
-}
-
-Json Server::HandleWrite(const Task& task) {
-  const Request& req = task.req;
-  const auto start = std::chrono::steady_clock::now();
-  Json resp = OkResponse();
-  if (req.cmd == Request::Cmd::kCheckpoint) {
-    const Status s = engine_->Checkpoint();
-    if (!s.ok()) {
-      metrics_.write_errors.fetch_add(1, std::memory_order_relaxed);
-      return ErrorResponse(s);
-    }
-    if (engine_->storage() != nullptr) {
-      resp.Set("snapshot", Json::Str(engine_->storage()->snapshot_path()));
-    }
-  } else {
-    const bool retract = req.cmd == Request::Cmd::kRetract;
-    Result<ml::WriteResult> result =
-        retract ? engine_->Retract(req.fact, task.level)
-                : engine_->Assert(req.fact, task.level);
-    if (!result.ok()) {
-      metrics_.write_errors.fetch_add(1, std::memory_order_relaxed);
-      return ErrorResponse(result.status());
-    }
-    resp.Set("seqno", Json::Int(static_cast<int64_t>(result->seqno)));
-    Json invalidated = Json::Array();
-    for (const std::string& level : result->invalidated_levels) {
-      invalidated.Push(Json::Str(level));
-    }
-    resp.Set("invalidated_levels", std::move(invalidated));
-    Json maintained = Json::Array();
-    for (const std::string& level : result->maintained_levels) {
-      maintained.Push(Json::Str(level));
-    }
-    resp.Set("maintained_levels", std::move(maintained));
-    resp.Set("durable", Json::Bool(engine_->storage() != nullptr));
-  }
-  metrics_.writes_ok.fetch_add(1, std::memory_order_relaxed);
-  resp.Set("level", Json::Str(task.level));
-  resp.Set("elapsed_ms",
-           Json::Double(static_cast<double>(ElapsedMicros(start)) / 1000.0));
-  return resp;
-}
-
-Json Server::HandleSql(const Task& task) {
-  if (task.sql == nullptr) {
-    metrics_.query_errors.fetch_add(1, std::memory_order_relaxed);
-    return ErrorResponse(Status::InvalidArgument(
-        "this server has no SQL catalog configured"));
-  }
-  const auto start = std::chrono::steady_clock::now();
-  Result<msql::ResultSet> result = [&] {
-    // Pipelined statements on one session serialize here: the
-    // msql::Session is stateful, and two workers must not run it
-    // concurrently.
-    std::lock_guard<std::mutex> lock(task.sql->mu);
-    trace::Span sql_span(trace::Stage::kSqlExecute);
-    return task.sql->session.Execute(task.req.sql);
-  }();
-  const uint64_t micros = ElapsedMicros(start);
-  metrics_.latency().Record(micros);
-
-  if (!result.ok()) {
-    metrics_.query_errors.fetch_add(1, std::memory_order_relaxed);
-    return ErrorResponse(result.status());
-  }
-  metrics_.queries_ok.fetch_add(1, std::memory_order_relaxed);
-  metrics_.rows_returned.fetch_add(result->rows.size(),
-                                   std::memory_order_relaxed);
-
-  Json resp = OkResponse();
-  Json columns = Json::Array();
-  for (const std::string& column : result->columns) {
-    columns.Push(Json::Str(column));
-  }
-  Json rows = Json::Array();
-  for (const std::vector<std::string>& row : result->rows) {
-    Json cells = Json::Array();
-    for (const std::string& cell : row) cells.Push(Json::Str(cell));
-    rows.Push(std::move(cells));
-  }
-  resp.Set("columns", std::move(columns));
-  resp.Set("count", Json::Int(static_cast<int64_t>(result->rows.size())));
-  resp.Set("rows", std::move(rows));
-  resp.Set("elapsed_ms", Json::Double(static_cast<double>(micros) / 1000.0));
-  return resp;
-}
-
-Json Server::StatsJson() {
-  Json root = metrics_.ToJson();
-  root.Set("in_flight",
-           Json::Int(static_cast<int64_t>(
-               in_flight_.load(std::memory_order_relaxed))));
-  const ml::EngineCounters ec = engine_->Counters();
-  Json engine = Json::Object();
-  engine.Set("cache_hits", Json::Int(static_cast<int64_t>(ec.cache_hits)));
-  engine.Set("cache_misses", Json::Int(static_cast<int64_t>(ec.cache_misses)));
-  engine.Set("invalidation_events",
-             Json::Int(static_cast<int64_t>(ec.invalidation_events)));
-  engine.Set("cache_entries_invalidated",
-             Json::Int(static_cast<int64_t>(ec.cache_entries_invalidated)));
-  engine.Set("deltas_applied",
-             Json::Int(static_cast<int64_t>(ec.deltas_applied)));
-  engine.Set("fallback_recomputes",
-             Json::Int(static_cast<int64_t>(ec.fallback_recomputes)));
-  engine.Set("live_models", Json::Int(static_cast<int64_t>(ec.live_models)));
-  engine.Set("plan_hits", Json::Int(static_cast<int64_t>(ec.plan_hits)));
-  engine.Set("plan_misses", Json::Int(static_cast<int64_t>(ec.plan_misses)));
-  engine.Set("magic_fallbacks",
-             Json::Int(static_cast<int64_t>(ec.magic_fallbacks)));
-  engine.Set("asserts_ok", Json::Int(static_cast<int64_t>(ec.asserts_ok)));
-  engine.Set("retracts_ok", Json::Int(static_cast<int64_t>(ec.retracts_ok)));
-  engine.Set("writes_rejected",
-             Json::Int(static_cast<int64_t>(ec.writes_rejected)));
-  engine.Set("checkpoints", Json::Int(static_cast<int64_t>(ec.checkpoints)));
-  root.Set("engine", std::move(engine));
-  const ml::StorageCounters sc = engine_->StorageStats();
-  root.Set("applied_seqno", Json::Int(static_cast<int64_t>(sc.applied_seqno)));
-  root.Set("read_only", Json::Bool(options_.read_only));
-  if (sc.attached) {
-    Json storage = Json::Object();
-    storage.Set("dir", Json::Str(sc.dir));
-    storage.Set("next_seqno", Json::Int(static_cast<int64_t>(sc.next_seqno)));
-    storage.Set("snapshot_seqno",
-                Json::Int(static_cast<int64_t>(sc.snapshot_seqno)));
-    storage.Set("wal_records", Json::Int(static_cast<int64_t>(
-                                   sc.wal_records)));
-    storage.Set("wal_bytes", Json::Int(static_cast<int64_t>(sc.wal_bytes)));
-    storage.Set("checkpoints", Json::Int(static_cast<int64_t>(
-                                   sc.checkpoints)));
-    storage.Set("group_syncs",
-                Json::Int(static_cast<int64_t>(sc.group_syncs)));
-    if (!sc.recovery_data_loss.empty()) {
-      storage.Set("recovery_data_loss", Json::Str(sc.recovery_data_loss));
-    }
-    root.Set("storage", std::move(storage));
-  }
-  // Replication, from whichever side this daemon plays: streams served
-  // (primary) and, on a replica, the link state the Replicator tracks.
-  Json repl = Json::Object();
-  repl.Set("streams_served",
-           Json::Int(static_cast<int64_t>(
-               replication_streams_.load(std::memory_order_relaxed))));
-  if (replicator_ != nullptr) {
-    const replication::Replicator::Stats rs = replicator_->GetStats();
-    repl.Set("connected", Json::Bool(rs.connected));
-    repl.Set("applied_seqno",
-             Json::Int(static_cast<int64_t>(rs.applied_seqno)));
-    repl.Set("primary_next_seqno",
-             Json::Int(static_cast<int64_t>(rs.primary_next_seqno)));
-    // Lag in records: how far the primary's committed tip is past what
-    // this replica has applied. 0 until the first heartbeat reports the
-    // primary's position.
-    const uint64_t lag = rs.primary_next_seqno > rs.applied_seqno + 1
-                             ? rs.primary_next_seqno - rs.applied_seqno - 1
-                             : 0;
-    repl.Set("lag_records", Json::Int(static_cast<int64_t>(lag)));
-    repl.Set("records_applied",
-             Json::Int(static_cast<int64_t>(rs.records_applied)));
-    repl.Set("snapshots_installed",
-             Json::Int(static_cast<int64_t>(rs.snapshots_installed)));
-    repl.Set("reconnects", Json::Int(static_cast<int64_t>(rs.reconnects)));
-    if (!rs.last_error.empty()) {
-      repl.Set("last_error", Json::Str(rs.last_error));
-    }
-  }
-  root.Set("replication", std::move(repl));
-  return root;
-}
-
-std::string Server::MetricsText() {
-  std::string out = metrics_.PrometheusText();
-  auto counter = [&out](const char* name, const char* help, uint64_t value,
-                        const char* type = "counter") {
-    out.append("# HELP ").append(name).append(" ").append(help).append("\n");
-    out.append("# TYPE ").append(name).append(" ").append(type).append("\n");
-    out.append(name).append(" ").append(std::to_string(value)).append("\n");
-  };
-  counter("multilog_requests_in_flight",
-          "Dispatched requests currently executing or queued.",
-          in_flight_.load(std::memory_order_relaxed), "gauge");
-
-  const ml::EngineCounters ec = engine_->Counters();
-  counter("multilog_engine_cache_hits_total",
-          "Per-level cache lookups that hit.", ec.cache_hits);
-  counter("multilog_engine_cache_misses_total",
-          "Per-level cache lookups that had to build.", ec.cache_misses);
-  counter("multilog_engine_invalidation_events_total", "Committed writes.",
-          ec.invalidation_events);
-  counter("multilog_engine_cache_entries_invalidated_total",
-          "Cache entries dropped by committed writes.",
-          ec.cache_entries_invalidated);
-  counter("multilog_engine_asserts_ok_total", "Asserts committed.",
-          ec.asserts_ok);
-  counter("multilog_engine_retracts_ok_total", "Retracts committed.",
-          ec.retracts_ok);
-  counter("multilog_engine_writes_rejected_total",
-          "Mutations rejected by security or integrity checks.",
-          ec.writes_rejected);
-  counter("multilog_engine_checkpoints_total", "Checkpoints taken.",
-          ec.checkpoints);
-  counter("multilog_engine_deltas_applied_total",
-          "Cached models maintained in place by delta propagation.",
-          ec.deltas_applied);
-  counter("multilog_engine_fallback_recomputes_total",
-          "Incremental maintenance fallbacks to full recompute.",
-          ec.fallback_recomputes);
-  counter("multilog_engine_live_models", "Maintained per-level models.",
-          ec.live_models, "gauge");
-  counter("multilog_engine_plan_hits_total",
-          "Compiled magic plans served from the plan cache.", ec.plan_hits);
-  counter("multilog_engine_plan_misses_total",
-          "Magic plan compiles (first query of a binding pattern).",
-          ec.plan_misses);
-  counter("multilog_engine_magic_fallbacks_total",
-          "Queries the magic path declined to the full bottom-up path.",
-          ec.magic_fallbacks);
-
-  const ml::StorageCounters sc = engine_->StorageStats();
-  counter("multilog_applied_seqno",
-          "Last mutation sequence number applied to the database.",
-          sc.applied_seqno, "gauge");
-  if (sc.attached) {
-    counter("multilog_storage_next_seqno", "Next mutation sequence number.",
-            sc.next_seqno, "gauge");
-    counter("multilog_storage_snapshot_seqno",
-            "Sequence number the on-disk snapshot covers.",
-            sc.snapshot_seqno, "gauge");
-    counter("multilog_storage_wal_records",
-            "Records in the live WAL segment.", sc.wal_records, "gauge");
-    counter("multilog_storage_wal_bytes", "Bytes in the live WAL segment.",
-            sc.wal_bytes, "gauge");
-    counter("multilog_storage_checkpoints_total", "Checkpoints folded.",
-            sc.checkpoints);
-    counter("multilog_storage_group_syncs_total",
-            "Group-commit fsync batches (each covers >= 1 append).",
-            sc.group_syncs);
-    counter("multilog_storage_recovery_data_loss",
-            "1 when the last recovery truncated a damaged WAL tail.",
-            sc.recovery_data_loss.empty() ? 0 : 1, "gauge");
-  }
-  counter("multilog_replication_streams_served_total",
-          "Replication streams this daemon has served as the primary.",
-          replication_streams_.load(std::memory_order_relaxed));
-  if (replicator_ != nullptr) {
-    const replication::Replicator::Stats rs = replicator_->GetStats();
-    counter("multilog_replica_connected",
-            "1 while the replication link to the primary is up.",
-            rs.connected ? 1 : 0, "gauge");
-    counter("multilog_replica_lag_records",
-            "Primary mutations not yet applied on this replica.",
-            rs.primary_next_seqno > rs.applied_seqno + 1
-                ? rs.primary_next_seqno - rs.applied_seqno - 1
-                : 0,
-            "gauge");
-    counter("multilog_replica_records_applied_total",
-            "Shipped WAL records applied by this replica.",
-            rs.records_applied);
-    counter("multilog_replica_snapshots_installed_total",
-            "Catch-up snapshots installed by this replica.",
-            rs.snapshots_installed);
-    counter("multilog_replica_reconnects_total",
-            "Reconnections to the primary after the first attempt.",
-            rs.reconnects);
-    counter("multilog_replica_has_error",
-            "1 while the link's most recent failure is unresolved (cleared "
-            "on the first healthy frame after reconnect).",
-            rs.last_error.empty() ? 0 : 1, "gauge");
-  }
-
-  // Per-stage trace aggregates (populated when tracing is enabled
-  // globally or per-query collectors ran).
-  const std::array<trace::StageTotal, trace::kNumStages> stages =
-      trace::AggregatedStages();
-  out.append(
-      "# HELP multilog_stage_spans_total Trace spans recorded per stage.\n"
-      "# TYPE multilog_stage_spans_total counter\n");
-  for (size_t i = 0; i < stages.size(); ++i) {
-    out.append("multilog_stage_spans_total{stage=\"")
-        .append(trace::StageName(static_cast<trace::Stage>(i)))
-        .append("\"} ")
-        .append(std::to_string(stages[i].count))
-        .append("\n");
-  }
-  out.append(
-      "# HELP multilog_stage_duration_seconds_total Cumulative time per "
-      "stage.\n"
-      "# TYPE multilog_stage_duration_seconds_total counter\n");
-  for (size_t i = 0; i < stages.size(); ++i) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g",
-                  static_cast<double>(stages[i].total_micros) / 1e6);
-    out.append("multilog_stage_duration_seconds_total{stage=\"")
-        .append(trace::StageName(static_cast<trace::Stage>(i)))
-        .append("\"} ")
-        .append(buf)
-        .append("\n");
-  }
-  return out;
-}
-
-void Server::LogSlowQuery(const Task& task, const trace::SpanNode& root) {
-  const ml::ExecMode mode =
-      task.req.mode.has_value() ? *task.req.mode : task.session_mode;
-  std::ostringstream line;
-  line << "[multilogd] slow query: "
-       << static_cast<double>(root.duration_micros) / 1000.0
-       << " ms level=" << task.level << " mode=" << ExecModeName(mode);
-  if (const trace::SpanNode* dominant = DominantSpan(root)) {
-    line << " dominant=" << trace::StageName(dominant->stage) << ":"
-         << static_cast<double>(dominant->duration_micros) / 1000.0 << "ms";
-  }
-  line << " goal=" << task.req.goal << "\n";
-  std::ostream* sink =
-      options_.slow_query_log != nullptr ? options_.slow_query_log
-                                         : &std::cerr;
-  std::lock_guard<std::mutex> lock(slow_log_mu_);
-  (*sink) << line.str() << std::flush;
 }
 
 }  // namespace multilog::server

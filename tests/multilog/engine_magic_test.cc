@@ -2,14 +2,13 @@
 // an invisible optimization - byte-identical answers to the full
 // bottom-up reduced path - while the plan_hits / plan_misses /
 // magic_fallbacks counters prove which path actually served each
-// query, writes invalidate affected plans, and the MULTILOG_NO_MAGIC
-// kill switch (EngineOptions::magic) disables the whole machinery.
+// query, writes invalidate affected plans, and EngineOptions::magic
+// (`multilogd --no-magic`) disables the whole machinery.
 
 #include "multilog/engine.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -158,12 +157,6 @@ TEST(EngineMagicTest, WritesInvalidatePlansAndAnswersStayIdentical) {
   // Writes pruned the cached plans, so the point shape was recompiled
   // at least once beyond the two initial compiles.
   EXPECT_GT(magic.Counters().plan_misses, 2u);
-}
-
-TEST(EngineMagicTest, MagicDefaultRespectsEnvironment) {
-  // The in-process default follows MULTILOG_NO_MAGIC at engine-options
-  // construction time (mirrors MULTILOG_NO_INCREMENTAL).
-  EXPECT_EQ(MagicPlansDefault(), std::getenv("MULTILOG_NO_MAGIC") == nullptr);
 }
 
 }  // namespace

@@ -129,10 +129,14 @@ std::string RenderedAnswers(Engine& engine, const std::string& goal,
 /// facts), probed for byte-identical answers against a scratch rebuild
 /// after every step - single-threaded and with 8 concurrent readers.
 /// Runs with incremental maintenance both on and off, so the delta path
-/// and the invalidation path are held to the same oracle.
-void RunRandomizedInterleaving(bool incremental, size_t probe_threads) {
+/// and the invalidation path are held to the same oracle - and with
+/// magic plans off as well, so the two fallback paths are held to it
+/// together.
+void RunRandomizedInterleaving(bool incremental, size_t probe_threads,
+                               bool magic = true) {
   EngineOptions options;
   options.incremental = incremental;
+  options.magic = magic;
   Result<Engine> live = Engine::FromSource(kDiamond, options);
   ASSERT_TRUE(live.ok()) << live.status();
   for (const char* level : kLevels) {
@@ -221,6 +225,11 @@ TEST(MutationEquivalenceProperty, RandomizedInterleavingIncremental) {
 
 TEST(MutationEquivalenceProperty, RandomizedInterleavingInvalidating) {
   RunRandomizedInterleaving(/*incremental=*/false, /*probe_threads=*/1);
+}
+
+TEST(MutationEquivalenceProperty, RandomizedInterleavingWithoutOptimizers) {
+  RunRandomizedInterleaving(/*incremental=*/false, /*probe_threads=*/1,
+                            /*magic=*/false);
 }
 
 TEST(MutationEquivalenceProperty, RandomizedInterleavingEightReaders) {

@@ -113,13 +113,7 @@ TEST_F(ClientBatchTest, QueriesAndCheckpointsCountAsBatchWork) {
   // query warms the c-level cache, so the retract maintains it in
   // place and the maintained-level tally is non-zero.
   EXPECT_EQ(result.writes, 2u);
-  if (ml::IncrementalMaintenanceDefault()) {
-    EXPECT_GE(result.levels_maintained, 1u);
-  } else {
-    // Under MULTILOG_NO_INCREMENTAL the same writes invalidate the
-    // warmed cache instead of maintaining it.
-    EXPECT_GE(result.levels_invalidated, 1u);
-  }
+  EXPECT_GE(result.levels_maintained, 1u);
   EXPECT_GT(result.wall_ms, 0.0);
 }
 

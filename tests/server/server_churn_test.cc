@@ -14,6 +14,10 @@
 //     thread accumulation), and
 //  3. virtual memory growth over the whole churn stays far below one
 //     leaked thread stack per session.
+//
+// It runs against both handlers the loop serves: the engine, and the
+// router (whose thread-per-connection predecessor had no
+// connections.reaped counter either).
 
 #include <fstream>
 #include <sstream>
@@ -21,7 +25,7 @@
 
 #include <gtest/gtest.h>
 
-#include "server_test_util.h"
+#include "loop_test_util.h"
 
 namespace multilog::server {
 namespace {
@@ -43,9 +47,21 @@ long ProcStatusValue(const std::string& key) {
   return -1;
 }
 
-class ServerChurnTest : public ServerTestBase {};
+class ServerChurnTest : public LoopTest {
+ protected:
+  using LoopTest::LoopTest;
+  void FiveThousandSessionChurnStaysBounded();
+};
 
-TEST_F(ServerChurnTest, FiveThousandSessionChurnStaysBounded) {
+class RouterChurnTest : public ServerChurnTest {
+ protected:
+  RouterChurnTest() : ServerChurnTest(Handler::kRouter) {}
+};
+
+MULTILOG_LOOP_TEST(ServerChurnTest, RouterChurnTest,
+                   FiveThousandSessionChurnStaysBounded)
+
+void ServerChurnTest::FiveThousandSessionChurnStaysBounded() {
   StartServer();
   constexpr int kCycles = 5000;
 

@@ -1,7 +1,8 @@
 // Event-loop behaviors that only matter once serving is nonblocking:
 //
 //  - the connection-limit rejection is best-effort and never lets a
-//    stalled (never-reading) rejected peer delay the next accept,
+//    stalled (never-reading) rejected peer delay the next accept, on
+//    both handlers the loop serves (engine and router),
 //  - a query parked on a min_seqno floor burns no worker thread and no
 //    in-flight slot while it waits (other queries run to completion
 //    around it), and expires with the staleness-deadline error,
@@ -25,14 +26,23 @@
 
 #include "server/client.h"
 #include "server/protocol.h"
-#include "server_test_util.h"
+#include "loop_test_util.h"
 
 namespace multilog::server {
 namespace {
 
 constexpr char kGoal[] = "?- c[p(k : a -R-> v)] << opt.";
 
-class ServerEventLoopTest : public ServerTestBase {};
+class ServerEventLoopTest : public LoopTest {
+ protected:
+  using LoopTest::LoopTest;
+  void StalledRejectedPeerDoesNotDelayNextAccept();
+};
+
+class RouterEventLoopTest : public ServerEventLoopTest {
+ protected:
+  RouterEventLoopTest() : ServerEventLoopTest(Handler::kRouter) {}
+};
 
 int64_t ElapsedMs(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -40,7 +50,10 @@ int64_t ElapsedMs(std::chrono::steady_clock::time_point since) {
       .count();
 }
 
-TEST_F(ServerEventLoopTest, StalledRejectedPeerDoesNotDelayNextAccept) {
+MULTILOG_LOOP_TEST(ServerEventLoopTest, RouterEventLoopTest,
+                   StalledRejectedPeerDoesNotDelayNextAccept)
+
+void ServerEventLoopTest::StalledRejectedPeerDoesNotDelayNextAccept() {
   ServerOptions options;
   options.max_connections = 2;
   StartServer(options);
@@ -54,7 +67,7 @@ TEST_F(ServerEventLoopTest, StalledRejectedPeerDoesNotDelayNextAccept) {
   // A peer that connects over the limit and then never reads a byte:
   // the rejection frame is sent best-effort with MSG_DONTWAIT, so the
   // loop must not block on this socket no matter what the peer does.
-  Result<Client> staller = Client::Connect(server_->port());
+  Result<Client> staller = Client::Connect(port());
   ASSERT_TRUE(staller.ok()) << staller.status();
   // (deliberately no ReadRaw: the staller just sits there)
 
@@ -71,7 +84,7 @@ TEST_F(ServerEventLoopTest, StalledRejectedPeerDoesNotDelayNextAccept) {
   const auto t1 = std::chrono::steady_clock::now();
   Result<Client> fresh = Status::Internal("unattempted");
   for (int attempt = 0; attempt < 50; ++attempt) {
-    fresh = Client::Connect(server_->port());
+    fresh = Client::Connect(port());
     ASSERT_TRUE(fresh.ok()) << fresh.status();
     Result<Json> hello = fresh->Hello("s");
     if (hello.ok()) break;  // rejected = bye not yet reaped; retry

@@ -132,11 +132,6 @@ TEST_F(DurableServerTest, AssertRetractCheckpointRoundTrip) {
 }
 
 TEST_F(DurableServerTest, WriteResponsesAndStatsSurfaceDeltaMaintenance) {
-  if (!ml::IncrementalMaintenanceDefault()) {
-    GTEST_SKIP() << "MULTILOG_NO_INCREMENTAL is set: the engine "
-                    "invalidates instead of maintaining, so there is no "
-                    "delta surfacing to assert on";
-  }
   StartServer();
   Client client = MustConnect();
   ASSERT_TRUE(client.Hello("s").ok());

@@ -3,7 +3,9 @@
 // request's "id" so the client can match them back up. Untagged
 // requests stay supported (no "id" member is invented), error responses
 // carry the offending request's id, and pipelined answers are the same
-// bytes the blocking one-at-a-time client receives.
+// bytes the blocking one-at-a-time client receives - on both handlers
+// the loop serves. Distinct write seqnos are the engine's alone: each
+// shard behind a router numbers its own writes.
 
 #include "server/server.h"
 
@@ -15,16 +17,43 @@
 #include <vector>
 
 #include "server/client.h"
-#include "server_test_util.h"
+#include "loop_test_util.h"
 
 namespace multilog::server {
 namespace {
 
 constexpr char kGoal[] = "?- c[p(k : a -R-> v)] << opt.";
 
-class ServerPipelineTest : public ServerTestBase {};
+class ServerPipelineTest : public LoopTest {
+ protected:
+  using LoopTest::LoopTest;
+  void BurstOfTaggedQueriesAllAnswerWithTheirId();
+  void ResponsesMayArriveOutOfOrder();
+  void UntaggedRequestsGetNoInventedId();
+  void ErrorResponsesCarryTheRequestId();
+  void ClearanceErrorBeforeHelloCarriesTheId();
+  void ByeDrainsInFlightResponsesFirst();
+};
 
-TEST_F(ServerPipelineTest, BurstOfTaggedQueriesAllAnswerWithTheirId) {
+class RouterPipelineTest : public ServerPipelineTest {
+ protected:
+  RouterPipelineTest() : ServerPipelineTest(Handler::kRouter) {}
+};
+
+MULTILOG_LOOP_TEST(ServerPipelineTest, RouterPipelineTest,
+                   BurstOfTaggedQueriesAllAnswerWithTheirId)
+MULTILOG_LOOP_TEST(ServerPipelineTest, RouterPipelineTest,
+                   ResponsesMayArriveOutOfOrder)
+MULTILOG_LOOP_TEST(ServerPipelineTest, RouterPipelineTest,
+                   UntaggedRequestsGetNoInventedId)
+MULTILOG_LOOP_TEST(ServerPipelineTest, RouterPipelineTest,
+                   ErrorResponsesCarryTheRequestId)
+MULTILOG_LOOP_TEST(ServerPipelineTest, RouterPipelineTest,
+                   ClearanceErrorBeforeHelloCarriesTheId)
+MULTILOG_LOOP_TEST(ServerPipelineTest, RouterPipelineTest,
+                   ByeDrainsInFlightResponsesFirst)
+
+void ServerPipelineTest::BurstOfTaggedQueriesAllAnswerWithTheirId() {
   ServerOptions options;
   options.max_in_flight = 128;  // admit the whole burst at once
   StartServer(options);
@@ -58,7 +87,7 @@ TEST_F(ServerPipelineTest, BurstOfTaggedQueriesAllAnswerWithTheirId) {
   EXPECT_EQ(*seen.rbegin(), 1000 + kBurst - 1);
 }
 
-TEST_F(ServerPipelineTest, ResponsesMayArriveOutOfOrder) {
+void ServerPipelineTest::ResponsesMayArriveOutOfOrder() {
   StartServer();
   Client client = MustConnect();
   ASSERT_TRUE(client.Hello("s").ok());
@@ -97,7 +126,7 @@ TEST_F(ServerPipelineTest, ResponsesMayArriveOutOfOrder) {
   EXPECT_EQ(second->GetInt("count"), 1);
 }
 
-TEST_F(ServerPipelineTest, UntaggedRequestsGetNoInventedId) {
+void ServerPipelineTest::UntaggedRequestsGetNoInventedId() {
   StartServer();
   Client client = MustConnect();
   ASSERT_TRUE(client.Hello("s").ok());
@@ -106,7 +135,7 @@ TEST_F(ServerPipelineTest, UntaggedRequestsGetNoInventedId) {
   EXPECT_EQ(resp->Find("id"), nullptr);
 }
 
-TEST_F(ServerPipelineTest, ErrorResponsesCarryTheRequestId) {
+void ServerPipelineTest::ErrorResponsesCarryTheRequestId() {
   StartServer();
   Client client = MustConnect();
   ASSERT_TRUE(client.Hello("s").ok());
@@ -121,7 +150,7 @@ TEST_F(ServerPipelineTest, ErrorResponsesCarryTheRequestId) {
   EXPECT_EQ(id->int_value(), 77);
 }
 
-TEST_F(ServerPipelineTest, ClearanceErrorBeforeHelloCarriesTheId) {
+void ServerPipelineTest::ClearanceErrorBeforeHelloCarriesTheId() {
   StartServer();
   Client client = MustConnect();
   ASSERT_TRUE(client.SendQuery(/*id=*/5, kGoal).ok());
@@ -162,7 +191,7 @@ TEST_F(ServerPipelineTest, PipelinedWritesAllCommitWithDistinctSeqnos) {
   }
 }
 
-TEST_F(ServerPipelineTest, ByeDrainsInFlightResponsesFirst) {
+void ServerPipelineTest::ByeDrainsInFlightResponsesFirst() {
   StartServer();
   Client client = MustConnect();
   ASSERT_TRUE(client.Hello("s").ok());

@@ -2,9 +2,11 @@
 // hot set of pipelined clients hammers queries through the same loop.
 // The epoll server's cost for an idle session is one fd plus one
 // Session struct - no thread - so a four-digit connection count is
-// routine; the seed thread-per-connection server would need that many
-// stacks. The hot set checks that answer bytes do not degrade under
-// fanout and that every tagged response finds its way home.
+// routine; the seed thread-per-connection server (and the router before
+// it served from the same loop) would need that many stacks. It runs
+// against both handlers the loop serves. The hot set checks that answer
+// bytes do not degrade under fanout and that every tagged response
+// finds its way home.
 //
 // Scale: MULTILOG_SOAK_SESSIONS overrides the idle-session target
 // (default 10000). The test raises RLIMIT_NOFILE to its hard cap and
@@ -26,14 +28,26 @@
 #include <vector>
 
 #include "server/client.h"
-#include "server_test_util.h"
+#include "loop_test_util.h"
 
 namespace multilog::server {
 namespace {
 
 constexpr char kGoal[] = "?- c[p(k : a -R-> v)] << opt.";
 
-class ServerSoakTest : public ServerTestBase {};
+class ServerSoakTest : public LoopTest {
+ protected:
+  using LoopTest::LoopTest;
+  void TenThousandIdlePlusHundredHotPipelined();
+};
+
+class RouterSoakTest : public ServerSoakTest {
+ protected:
+  RouterSoakTest() : ServerSoakTest(Handler::kRouter) {}
+};
+
+MULTILOG_LOOP_TEST(ServerSoakTest, RouterSoakTest,
+                   TenThousandIdlePlusHundredHotPipelined)
 
 size_t IdleSessionTarget() {
   size_t target = 10000;
@@ -59,7 +73,7 @@ size_t IdleSessionTarget() {
   return target;
 }
 
-TEST_F(ServerSoakTest, TenThousandIdlePlusHundredHotPipelined) {
+void ServerSoakTest::TenThousandIdlePlusHundredHotPipelined() {
   const size_t kIdle = IdleSessionTarget();
   constexpr size_t kHot = 100;
   constexpr int kBurst = 16;  // pipelined queries per hot client
@@ -81,7 +95,7 @@ TEST_F(ServerSoakTest, TenThousandIdlePlusHundredHotPipelined) {
   std::vector<Client> idle;
   idle.reserve(kIdle);
   for (size_t i = 0; i < kIdle; ++i) {
-    Result<Client> c = Client::Connect(server_->port());
+    Result<Client> c = Client::Connect(port());
     ASSERT_TRUE(c.ok()) << "idle connect " << i << ": " << c.status();
     idle.push_back(std::move(c).value());
   }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <iterator>
 #include <map>
 #include <random>
 #include <string>
@@ -286,6 +287,48 @@ TEST_F(RouterTest, ByteIdentityUnderRandomizedInterleavedWrites) {
                             std::string("operational"));
     }
   }
+}
+
+TEST_F(RouterTest, ConcurrentClearancesNeverShareABackend) {
+  StartCluster(ClusterSource());
+  // What each clearance must see, from the reference engine - and proof
+  // that these goals tell u from s, so a u session served over an
+  // s-bound backend could not pass unnoticed.
+  std::vector<std::string> goals(std::begin(kPointGoals),
+                                 std::end(kPointGoals));
+  goals.insert(goals.end(), std::begin(kWideGoals), std::end(kWideGoals));
+  auto outcome = [](const Result<Json>& r) {
+    return r.ok() ? r->Find("answers")->Serialize()
+                  : "error " + r.status().ToString();
+  };
+  std::map<std::string, std::vector<std::string>> expected;
+  for (const char* level : {"u", "s"}) {
+    Client ref = ConnectReference();
+    ASSERT_TRUE(ref.Hello(level).ok());
+    for (const std::string& goal : goals) {
+      expected[level].push_back(outcome(ref.Query(goal)));
+    }
+  }
+  ASSERT_NE(expected["u"], expected["s"]);
+
+  // Two sessions per clearance, all running the same goals at once, so
+  // the backend pools are checked out and returned concurrently.
+  std::vector<std::thread> sessions;
+  for (const char* level : {"u", "s", "u", "s"}) {
+    sessions.emplace_back([this, level, &goals, &expected, &outcome] {
+      Result<Client> client = Client::Connect(router_->port());
+      ASSERT_TRUE(client.ok()) << client.status();
+      ASSERT_TRUE(client->Hello(level).ok());
+      for (int round = 0; round < 20; ++round) {
+        for (size_t g = 0; g < goals.size(); ++g) {
+          EXPECT_EQ(outcome(client->Query(goals[g])), expected.at(level)[g])
+              << "level " << level << ": " << goals[g];
+        }
+      }
+    });
+  }
+  for (std::thread& t : sessions) t.join();
+  EXPECT_EQ(router_->Counters().shard_errors, 0u);
 }
 
 TEST_F(RouterTest, EightConcurrentWritersThenByteIdenticalAnswers) {

@@ -54,9 +54,6 @@ class RouterClusterTest : public ::testing::Test {
     // Storage::Open creates the shard dir but not its parent.
     if (!data_base.empty()) ::mkdir(data_base.c_str(), 0755);
     RouterOptions options;
-    // Tests want failures fast, not patient redials.
-    options.connect_attempts = 3;
-    options.connect_backoff_ms = 10;
     for (size_t i = 0; i < parts->size(); ++i) {
       ASSERT_TRUE(StartShard(
           (*parts)[i],

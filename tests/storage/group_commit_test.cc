@@ -12,7 +12,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -168,13 +167,6 @@ TEST(GroupCommitTest, EngineGroupCommitOnAndOffProduceTheSameDatabase) {
   const std::vector<std::string> ungrouped = run(false, TempDir("eng_off"));
   ASSERT_EQ(grouped.size(), 8u);
   EXPECT_EQ(grouped, ungrouped);
-}
-
-TEST(GroupCommitTest, KillSwitchDisablesTheDefault) {
-  ASSERT_EQ(::setenv("MULTILOG_NO_GROUP_COMMIT", "1", 1), 0);
-  EXPECT_FALSE(ml::GroupCommitDefault());
-  ASSERT_EQ(::unsetenv("MULTILOG_NO_GROUP_COMMIT"), 0);
-  EXPECT_TRUE(ml::GroupCommitDefault());
 }
 
 }  // namespace
