@@ -6,26 +6,28 @@
 
 namespace multilog {
 
-ThreadPool::ThreadPool(size_t num_workers) {
-  workers_.reserve(num_workers);
-  for (size_t i = 0; i < num_workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
+ThreadPool::ThreadPool(size_t num_workers) : max_workers_(num_workers) {}
 
 ThreadPool::~ThreadPool() {
+  std::vector<std::thread> workers;
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
+    workers.swap(workers_);
   }
   work_cv_.notify_all();
-  for (std::thread& w : workers_) w.join();
+  for (std::thread& w : workers) w.join();
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(task));
+    // Each idle worker takes one queued task; the rest would wait
+    // behind busy workers, so start one more while the cap allows.
+    if (queue_.size() > idle_ && workers_.size() < max_workers_ && !stop_) {
+      workers_.emplace_back([this] { WorkerLoop(); });
+    }
   }
   work_cv_.notify_one();
 }
@@ -35,7 +37,9 @@ void ThreadPool::WorkerLoop() {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
+      ++idle_;
       work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      --idle_;
       if (queue_.empty()) return;  // stop_ and drained
       task = std::move(queue_.front());
       queue_.pop_front();
@@ -46,7 +50,7 @@ void ThreadPool::WorkerLoop() {
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  if (workers_.empty() || n == 1) {
+  if (max_workers_ == 0 || n == 1) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
@@ -64,7 +68,7 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
 
   // No point waking more helpers than there are items beyond the one
   // the caller will take.
-  const size_t helpers = std::min(workers_.size(), n - 1);
+  const size_t helpers = std::min(max_workers_, n - 1);
   {
     std::lock_guard<std::mutex> lock(batch->mu);
     batch->live_helpers = helpers;

@@ -11,9 +11,11 @@
 
 namespace multilog {
 
-/// A small fixed-size worker pool for data-parallel evaluation rounds.
+/// A small bounded worker pool for data-parallel evaluation rounds and
+/// the serving loop's requests.
 ///
-/// The pool owns `num_workers` threads that drain a FIFO task queue.
+/// The pool owns up to `num_workers` threads that drain a FIFO task
+/// queue.
 /// `ParallelFor(n, fn)` is the only interface the evaluator needs: it
 /// runs `fn(0) .. fn(n-1)` across the workers *and the calling thread*
 /// (so a pool built with `num_workers = k` gives `k + 1`-way
@@ -27,8 +29,11 @@ namespace multilog {
 /// concurrently on distinct indices.
 class ThreadPool {
  public:
-  /// Starts `num_workers` threads (0 is allowed: everything then runs
-  /// inline on the calling thread).
+  /// A pool of up to `num_workers` threads (0 is allowed: everything
+  /// then runs inline on the calling thread). Workers start on demand:
+  /// Submit starts one whenever more tasks are queued than workers are
+  /// idle, so a large cap costs only the threads that concurrent work
+  /// has needed so far.
   explicit ThreadPool(size_t num_workers);
 
   /// Drains outstanding tasks, then joins the workers.
@@ -37,7 +42,7 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  size_t num_workers() const { return workers_.size(); }
+  size_t num_workers() const { return max_workers_; }
 
   /// Enqueues one task for asynchronous execution.
   void Submit(std::function<void()> task);
@@ -50,10 +55,12 @@ class ThreadPool {
  private:
   void WorkerLoop();
 
-  std::vector<std::thread> workers_;
+  const size_t max_workers_;
+  std::vector<std::thread> workers_;  // guarded by mu_
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::deque<std::function<void()>> queue_;
+  size_t idle_ = 0;  // workers waiting for a task
   bool stop_ = false;
 };
 

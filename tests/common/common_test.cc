@@ -1,9 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <set>
+#include <thread>
+
 #include "common/result.h"
 #include "common/status.h"
 #include "common/str_util.h"
 #include "common/table_printer.h"
+#include "common/thread_pool.h"
 
 namespace multilog {
 namespace {
@@ -131,6 +140,49 @@ TEST(TablePrinterTest, EmptyTableRendersHeaderOnly) {
   TablePrinter p({"A"});
   std::string out = p.ToString();
   EXPECT_NE(out.find("| A |"), std::string::npos);
+}
+
+/// Submits `tasks` tasks that each block until released, and reports
+/// how many threads ran them side by side before the release.
+size_t BlockedTasksRunningAtOnce(ThreadPool& pool, int tasks) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::thread::id> running;
+  bool release = false;
+  std::atomic<int> finished{0};
+  for (int i = 0; i < tasks; ++i) {
+    pool.Submit([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      running.insert(std::this_thread::get_id());
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+      finished.fetch_add(1);
+    });
+  }
+  const size_t can_run =
+      std::min(static_cast<size_t>(tasks), pool.num_workers());
+  std::unique_lock<std::mutex> lock(mu);
+  cv.wait_for(lock, std::chrono::seconds(5),
+              [&] { return running.size() >= can_run; });
+  // Give a task that should not have started the chance to.
+  cv.wait_for(lock, std::chrono::milliseconds(50), [] { return false; });
+  const size_t at_once = running.size();
+  release = true;
+  cv.notify_all();
+  lock.unlock();
+  while (finished.load() < tasks) std::this_thread::yield();
+  return at_once;
+}
+
+TEST(ThreadPoolTest, EveryBlockedTaskGetsAWorkerUpToTheCap) {
+  ThreadPool pool(8);
+  EXPECT_EQ(BlockedTasksRunningAtOnce(pool, 5), 5u);
+}
+
+TEST(ThreadPoolTest, TasksBeyondTheCapWait) {
+  ThreadPool pool(2);
+  EXPECT_EQ(pool.num_workers(), 2u);
+  EXPECT_EQ(BlockedTasksRunningAtOnce(pool, 3), 2u);
 }
 
 }  // namespace
