@@ -59,7 +59,7 @@ enum class Stage : uint8_t {
   kPlanLookup,        // compiled magic-plan cache probe
   kMagicRewrite,      // magic-sets rewrite + plan compile on a miss
   kEvalModel,         // bottom-up evaluation of the reduced program
-  kDecodeModel,       // de-specializing rel__l facts back to rel/6
+  kDecodeModel,       // unused: queries match the specialized model
   kQueryModel,        // matching the goal against the cached model
   kCheckCompare,      // kCheckBoth answer comparison (Theorem 6.1)
   // Datalog evaluator (per semi-naive round, on the calling thread).
@@ -78,7 +78,7 @@ enum class Stage : uint8_t {
   // Incremental view maintenance (the post-commit delta path).
   kDeltaReduce,  // incremental tau update of a live reduced program
   kDeltaEval,    // DRed-style delta propagation into a live fixpoint
-  kRegroup,      // regrouping a served view (decoded model / cautious beta)
+  kRegroup,      // unused: no second served view is maintained
   // Replication (the replica-side apply loop).
   kReplicaApply,  // applying one shipped WAL record through the engine
   // MSQL.

@@ -17,27 +17,6 @@ using datalog::Substitution;
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
-/// Rewrites a level-specialized fact (rel__u(P,K,A,V,C)) back to its
-/// generic form (rel(P,K,A,V,C,u)). Non-specialized facts pass through.
-Atom DecodeFact(const Atom& fact) {
-  static const struct {
-    const char* prefix;
-    size_t level_pos;
-  } kTargets[] = {
-      {"rel__", 5}, {"bel__", 5}, {"vis__", 5}, {"overridden__", 4}};
-  for (const auto& target : kTargets) {
-    const std::string& name = fact.predicate();
-    if (!StartsWith(name, target.prefix)) continue;
-    std::string base(name.substr(0, std::string(target.prefix).size() - 2));
-    std::string level = name.substr(std::string(target.prefix).size());
-    std::vector<datalog::Term> args = fact.args();
-    args.insert(args.begin() + static_cast<long>(target.level_pos),
-                datalog::Term::Sym(level));
-    return Atom(base, std::move(args));
-  }
-  return fact;
-}
-
 /// Removes bindings of don't-care variables (the parser's "_dc<n>"
 /// placeholders for omitted classifications, Section 7), then
 /// deduplicates and orders the remaining answers by their own text,
@@ -187,18 +166,22 @@ Result<const ReducedProgram*> Engine::ReducedLocked(
 Result<const datalog::Model*> Engine::ReducedModel(
     const std::string& user_level, const CancelToken* cancel) {
   std::shared_lock<std::shared_mutex> db_lock(caches_->db_mu);
-  return ReducedModelLocked(user_level, cancel);
+  MULTILOG_ASSIGN_OR_RETURN(CachedLevel cached,
+                            ReducedModelLocked(user_level, cancel));
+  return cached.model;
 }
 
-Result<const datalog::Model*> Engine::ReducedModelLocked(
+Result<Engine::CachedLevel> Engine::ReducedModelLocked(
     const std::string& user_level, const CancelToken* cancel) {
   const Symbol level = Symbol::Intern(user_level);
   {
     std::shared_lock<std::shared_mutex> lock(caches_->mu);
     auto it = caches_->models.find(level);
     if (it != caches_->models.end()) {
+      // A model is only ever cached beside its program (every path
+      // that drops a program drops the model with it).
       caches_->cache_hits.fetch_add(1, kRelaxed);
-      return &it->second;
+      return CachedLevel{&caches_->reduced.at(level), &it->second};
     }
   }
   caches_->cache_misses.fetch_add(1, kRelaxed);
@@ -212,29 +195,14 @@ Result<const datalog::Model*> Engine::ReducedModelLocked(
                             ReducedLocked(user_level));
   datalog::EvalOptions eval = options_.eval;
   eval.cancel = cancel;
-  Model raw;
+  Model model;
   {
     trace::Span eval_span(trace::Stage::kEvalModel);
-    MULTILOG_ASSIGN_OR_RETURN(raw, datalog::Evaluate(rp->program, eval));
-  }
-  Model decoded;
-  {
-    trace::Span decode_span(trace::Stage::kDecodeModel);
-    for (const std::string& pred : raw.Predicates()) {
-      for (const Atom& fact : raw.FactsFor(pred)) {
-        decoded.Insert(DecodeFact(fact));
-      }
-    }
+    MULTILOG_ASSIGN_OR_RETURN(model, datalog::Evaluate(rp->program, eval));
   }
   std::unique_lock<std::shared_mutex> lock(caches_->mu);
-  // Keep the encoded fixpoint alongside the decoded view: writes
-  // maintain it in place via ApplyDelta (racing builders publish
-  // identical models, so first-wins holds for both maps).
-  if (options_.incremental) {
-    caches_->raw_models.try_emplace(level, std::move(raw));
-  }
-  auto [it, inserted] = caches_->models.try_emplace(level, std::move(decoded));
-  return &it->second;
+  auto [it, inserted] = caches_->models.try_emplace(level, std::move(model));
+  return CachedLevel{rp, &it->second};
 }
 
 Result<Engine::InterpreterSlot*> Engine::GetInterpreterSlot(
@@ -309,11 +277,6 @@ Result<QueryResult> Engine::QueryLocked(const std::vector<MlLiteral>& goal,
 
   QueryResult reduced;
   {
-    // The decoded model holds generic facts; match the *generic* goal
-    // against it (specialization only matters for evaluation).
-    MULTILOG_ASSIGN_OR_RETURN(std::vector<datalog::Literal> generic,
-                              TranslateGoalGeneric(goal, user_level));
-
     // Goal-directed fast path: a selective goal with no cached full
     // model runs through a compiled magic plan, deriving only the
     // goal-relevant fragment. Falls through to the full build-and-match
@@ -322,20 +285,40 @@ Result<QueryResult> Engine::QueryLocked(const std::vector<MlLiteral>& goal,
     if (options_.magic) {
       Result<std::vector<Substitution>> outcome =
           Status::Internal("magic outcome unset");
-      if (TryMagicLocked(generic, user_level, cancel, &outcome)) {
+      if (TryMagicLocked(goal, user_level, cancel, &outcome)) {
         MULTILOG_RETURN_IF_ERROR(outcome.status());
         reduced.answers = std::move(outcome.value());
         magic_served = true;
       }
     }
     if (!magic_served) {
-      // Evaluate the cached model, then match the goal against it.
-      MULTILOG_ASSIGN_OR_RETURN(const Model* model,
+      // Match the goal against the cached fixpoint in the program's own
+      // (possibly level-specialized) form: a level variable expands into
+      // one goal list per level, whose answers merge under the
+      // answer-order contract.
+      MULTILOG_ASSIGN_OR_RETURN(CachedLevel cached,
                                 ReducedModelLocked(user_level, cancel));
       trace::Span query_span(trace::Stage::kQueryModel);
-      MULTILOG_ASSIGN_OR_RETURN(std::vector<Substitution> answers,
-                                datalog::QueryModel(*model, generic, cancel));
-      reduced.answers = std::move(answers);
+      MULTILOG_ASSIGN_OR_RETURN(
+          std::vector<std::vector<datalog::Literal>> goals,
+          cached.program->TranslateGoal(goal));
+      if (goals.size() == 1) {
+        MULTILOG_ASSIGN_OR_RETURN(
+            reduced.answers,
+            datalog::QueryModel(*cached.model, goals.front(), cancel));
+      } else {
+        datalog::OrderedAnswers<Substitution> merged;
+        for (const std::vector<datalog::Literal>& list : goals) {
+          MULTILOG_ASSIGN_OR_RETURN(
+              std::vector<Substitution> answers,
+              datalog::QueryModel(*cached.model, list, cancel));
+          for (Substitution& answer : answers) {
+            Substitution* slot = merged.Insert(answer.ToString());
+            if (slot != nullptr) *slot = std::move(answer);
+          }
+        }
+        reduced.answers = merged.Take();
+      }
     }
     StripDontCare(&reduced.answers, nullptr);
   }
@@ -366,8 +349,8 @@ Result<QueryResult> Engine::QueryLocked(const std::vector<MlLiteral>& goal,
 }
 
 bool Engine::TryMagicLocked(
-    const std::vector<datalog::Literal>& generic,
-    const std::string& user_level, const CancelToken* cancel,
+    const std::vector<MlLiteral>& goal, const std::string& user_level,
+    const CancelToken* cancel,
     Result<std::vector<datalog::Substitution>>* outcome) {
   const Symbol level = Symbol::Intern(user_level);
   {
@@ -377,7 +360,15 @@ bool Engine::TryMagicLocked(
     if (caches_->models.count(level) > 0) return false;
   }
 
-  datalog::MagicGoalPattern pattern = datalog::ParameterizeGoal(generic);
+  // Plans compile from the generic (display) program, so they take the
+  // generic goal.
+  Result<std::vector<datalog::Literal>> generic =
+      TranslateGoalGeneric(goal, user_level);
+  if (!generic.ok()) {
+    *outcome = generic.status();
+    return true;
+  }
+  datalog::MagicGoalPattern pattern = datalog::ParameterizeGoal(*generic);
   if (!pattern.any_bound) {
     // All-free goals enumerate the whole relation anyway; specializing
     // them buys nothing, so they always take the full path.
@@ -424,8 +415,8 @@ bool Engine::TryMagicLocked(
     // Plans compile from the generic (display) program: the generic
     // goal's predicates match it directly, and the specialization
     // rewrite it skips is semantics-preserving, so the reachable
-    // fragment's fixpoint restricted to the goal equals the decoded
-    // model's answers.
+    // fragment's fixpoint restricted to the goal gives the full path's
+    // answers.
     Result<datalog::MagicPlan> compiled =
         [&]() -> Result<datalog::MagicPlan> {
       trace::Span rewrite_span(trace::Stage::kMagicRewrite);
@@ -781,7 +772,6 @@ Status Engine::InstallSnapshot(uint64_t seqno, const std::string& source) {
                caches_->interpreters.size();
     caches_->reduced.clear();
     caches_->models.clear();
-    caches_->raw_models.clear();
     caches_->interpreters.clear();
     caches_->plans.clear();
     for (auto& [sym, epoch] : caches_->plan_epochs) ++epoch;
@@ -832,10 +822,9 @@ void Engine::PropagateDelta(const std::string& written_level,
   uint64_t dropped = 0;
   std::unique_lock<std::shared_mutex> lock(caches_->mu);
   std::set<std::string> cached;
+  // Every cached model sits beside its reduced program, so the program
+  // and interpreter maps name every cached level.
   for (const auto& [sym, unused] : caches_->reduced) {
-    cached.insert(std::string(sym.str()));
-  }
-  for (const auto& [sym, unused] : caches_->models) {
     cached.insert(std::string(sym.str()));
   }
   for (const auto& [sym, unused] : caches_->interpreters) {
@@ -873,7 +862,6 @@ void Engine::PropagateDelta(const std::string& written_level,
         // let the next query rebuild it from Sigma.
         dropped += caches_->reduced.erase(sym);
         dropped += caches_->models.erase(sym);
-        caches_->raw_models.erase(sym);
         dropped += caches_->interpreters.erase(sym);
         caches_->fallback_recomputes.fetch_add(1, kRelaxed);
         result->invalidated_levels.push_back(name);
@@ -885,70 +873,38 @@ void Engine::PropagateDelta(const std::string& written_level,
       // assert invalidates its negative answers); rebuild lazily.
       dropped += caches_->interpreters.erase(sym);
 
-      auto raw_it = caches_->raw_models.find(sym);
+      // A level with no live model yet keeps only its maintained
+      // program; its first query evaluates that program from scratch.
       auto model_it = caches_->models.find(sym);
-      if (raw_it == caches_->raw_models.end() ||
-          model_it == caches_->models.end()) {
-        // Program maintained, but no live model yet (the first query
-        // at this level evaluates the maintained program from
-        // scratch). Drop any orphaned half of the pair.
-        dropped += caches_->models.erase(sym);
-        caches_->raw_models.erase(sym);
-        result->maintained_levels.push_back(name);
-        continue;
-      }
-      const std::vector<Atom> no_atoms;
-      const std::vector<Atom>& adds = retract ? no_atoms : spliced->edb;
-      const std::vector<Atom>& removes = retract ? spliced->edb : no_atoms;
-      Result<datalog::DeltaChanges> changes =
-          [&]() -> Result<datalog::DeltaChanges> {
-        trace::Span span(trace::Stage::kDeltaEval);
-        return datalog::ApplyDelta(rp.program, adds, removes,
-                                   &raw_it->second, options_.eval);
-      }();
-      if (!changes.ok()) {
-        // The raw model may be mid-surgery - discard both forms; the
-        // maintained program stays (it is exact either way).
-        caches_->raw_models.erase(sym);
-        dropped += caches_->models.erase(sym);
-        caches_->fallback_recomputes.fetch_add(1, kRelaxed);
-        result->invalidated_levels.push_back(name);
-        continue;
-      }
-
-      {
-        // Regroup the served view: the net raw changes decode 1:1 (the
-        // specialization rewrite is injective), so the decoded model is
-        // maintained in O(|added| + |removed|).
-        trace::Span span(trace::Stage::kRegroup);
-        Model& decoded = model_it->second;
-        std::vector<Atom> decoded_removed;
-        decoded_removed.reserve(changes->removed.size());
-        for (const Atom& a : changes->removed) {
-          decoded_removed.push_back(DecodeFact(a));
+      if (model_it != caches_->models.end()) {
+        const std::vector<Atom> no_atoms;
+        const std::vector<Atom>& adds = retract ? no_atoms : spliced->edb;
+        const std::vector<Atom>& removes = retract ? spliced->edb : no_atoms;
+        Status applied = [&]() -> Status {
+          trace::Span span(trace::Stage::kDeltaEval);
+          return datalog::ApplyDelta(rp.program, adds, removes,
+                                     &model_it->second, options_.eval)
+              .status();
+        }();
+        if (!applied.ok()) {
+          // The model may be mid-surgery - discard it; the maintained
+          // program stays (it is exact either way).
+          dropped += caches_->models.erase(sym);
+          caches_->fallback_recomputes.fetch_add(1, kRelaxed);
+          result->invalidated_levels.push_back(name);
+          continue;
         }
-        decoded.RemoveFacts(decoded_removed);
-        for (const Atom& a : changes->added) decoded.Insert(DecodeFact(a));
+        caches_->deltas_applied.fetch_add(1, kRelaxed);
       }
-      caches_->deltas_applied.fetch_add(1, kRelaxed);
       result->maintained_levels.push_back(name);
       continue;
     }
 
     if (!dominating) continue;
-    // No maintained program. A model without its program cannot be
-    // maintained (should not happen - models are built through
-    // ReducedLocked - but stay safe); the interpreter is dropped as
-    // always.
-    const uint64_t interp_dropped = caches_->interpreters.erase(sym);
-    dropped += interp_dropped;
-    const uint64_t had_model = caches_->models.erase(sym);
-    caches_->raw_models.erase(sym);
-    dropped += had_model;
-    if (had_model > 0) {
-      caches_->fallback_recomputes.fetch_add(1, kRelaxed);
-    }
-    if (had_model + interp_dropped > 0) {
+    // No reduced program, so no model either (a model is only cached
+    // beside its program): just the interpreter, dropped as always.
+    if (caches_->interpreters.erase(sym) > 0) {
+      ++dropped;
       result->invalidated_levels.push_back(name);
     }
   }
@@ -966,10 +922,9 @@ std::vector<std::string> Engine::InvalidateDominating(
   uint64_t dropped = 0;
   std::unique_lock<std::shared_mutex> lock(caches_->mu);
   std::set<std::string> cached;
+  // Every cached model sits beside its reduced program, so the program
+  // and interpreter maps name every cached level.
   for (const auto& [sym, unused] : caches_->reduced) {
-    cached.insert(std::string(sym.str()));
-  }
-  for (const auto& [sym, unused] : caches_->models) {
     cached.insert(std::string(sym.str()));
   }
   for (const auto& [sym, unused] : caches_->interpreters) {
@@ -981,7 +936,6 @@ std::vector<std::string> Engine::InvalidateDominating(
     const Symbol sym = Symbol::Intern(name);
     dropped += caches_->reduced.erase(sym);
     dropped += caches_->models.erase(sym);
-    caches_->raw_models.erase(sym);
     dropped += caches_->interpreters.erase(sym);
     invalidated.push_back(name);
   }

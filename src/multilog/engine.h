@@ -57,10 +57,11 @@ struct EngineOptions {
   /// Maintain cached reduced programs and served models *in place*
   /// across Assert/Retract - the translated fact is spliced into each
   /// dominating level's reduced program and the EDB delta is propagated
-  /// into its live fixpoint (DRed) and decoded view - instead of
-  /// invalidating and recomputing them on the next query. Answers are
-  /// byte-identical either way (property-tested); a level falls back to
-  /// invalidation when its change cannot be applied incrementally.
+  /// into its live fixpoint (DRed), the one model queries match -
+  /// instead of invalidating and recomputing them on the next query.
+  /// Answers are byte-identical either way (property-tested); a level
+  /// falls back to invalidation when its change cannot be applied
+  /// incrementally.
   /// Disable for ablation or as a safety valve (`multilogd
   /// --no-incremental`).
   bool incremental = true;
@@ -196,10 +197,16 @@ struct StorageCounters {
 /// exactly the cached levels that dominate the written level
 /// (dominance-aware invalidation; see WriteResult::invalidated_levels).
 ///
-/// When constructed via FromStorage, commits are durable: the mutation
-/// is fsynced into the write-ahead log *before* Sigma changes
-/// (write-ahead discipline), and Checkpoint() compacts the log into a
-/// fresh snapshot. See storage/storage.h for the recovery story.
+/// When constructed via FromStorage, commits are durable: no write is
+/// acknowledged before its write-ahead log record is fdatasynced, and
+/// Checkpoint() compacts the log into a fresh snapshot. See
+/// storage/storage.h for the recovery story. Only with group commit off
+/// does Sigma change after the sync. Under group commit (the default)
+/// the record is appended unsynced and the write is applied to Sigma
+/// and the caches *before* the shared fdatasync, so a concurrent reader
+/// can see a write that is not yet durable - and, if that sync fails,
+/// one that never will be (see EngineOptions::group_commit, and
+/// ROADMAP.md items 1 and 4, which close this window).
 ///
 /// The interpreter caveats of the previous revision still apply: each
 /// level's operational interpreter is serialized by a per-level mutex,
@@ -339,10 +346,12 @@ class Engine {
   /// query.
   Result<const ReducedProgram*> Reduced(const std::string& user_level);
 
-  /// The evaluated model of the reduced program, with any level
-  /// specialization decoded back to generic rel/6, bel/7, vis/6 and
-  /// overridden/5 atoms. Stability caveat as for Reduced. A cancelled
-  /// evaluation (via `cancel`) publishes nothing.
+  /// The evaluated model of the reduced program: the cached fixpoint
+  /// that reduced-mode queries match and writes maintain. Its facts are
+  /// level-specialized (rel__u(P,K,A,V,C) for rel(P,K,A,V,C,u), and
+  /// likewise bel, vis, overridden) when the program is; DecodeModel
+  /// gives the generic form. Stability caveat as for Reduced. A
+  /// cancelled evaluation (via `cancel`) publishes nothing.
   Result<const datalog::Model*> ReducedModel(const std::string& user_level,
                                              const CancelToken* cancel =
                                                  nullptr);
@@ -375,12 +384,12 @@ class Engine {
     // an integer compare, and iteration order still matches the level
     // names.
     std::map<Symbol, ReducedProgram> reduced;
+    /// Each level's fixpoint of its reduced program, in the program's
+    /// own (possibly level-specialized) form: queries match it through
+    /// ReducedProgram::TranslateGoal and writes maintain it through
+    /// ApplyDelta. A level's model is only ever cached beside its
+    /// program in `reduced`.
     std::map<Symbol, datalog::Model> models;
-    /// The *encoded* (possibly level-specialized) fixpoint each decoded
-    /// model in `models` was derived from - the form ApplyDelta
-    /// maintains. Populated only when EngineOptions::incremental is on,
-    /// and kept in lockstep with `models`.
-    std::map<Symbol, datalog::Model> raw_models;
     std::map<Symbol, InterpreterSlot> interpreters;
 
     /// One compiled magic plan per (level, goal-signature). A nullptr
@@ -434,8 +443,13 @@ class Engine {
                                   const std::string& user_level,
                                   ExecMode mode, const CancelToken* cancel);
   Result<const ReducedProgram*> ReducedLocked(const std::string& user_level);
-  Result<const datalog::Model*> ReducedModelLocked(
-      const std::string& user_level, const CancelToken* cancel);
+  /// A level's reduced program and its cached model.
+  struct CachedLevel {
+    const ReducedProgram* program;
+    const datalog::Model* model;
+  };
+  Result<CachedLevel> ReducedModelLocked(const std::string& user_level,
+                                         const CancelToken* cancel);
 
   /// The goal-directed fast path of reduced-mode queries: probes the
   /// compiled-plan cache for (level, binding pattern), compiling and
@@ -446,7 +460,7 @@ class Engine {
   /// compile was rejected, or a level whose full model is already
   /// cached (matching a cached model is cheaper than re-deriving).
   /// Assumes db_mu held (shared).
-  bool TryMagicLocked(const std::vector<datalog::Literal>& generic,
+  bool TryMagicLocked(const std::vector<MlLiteral>& goal,
                       const std::string& user_level,
                       const CancelToken* cancel,
                       Result<std::vector<datalog::Substitution>>* outcome);
@@ -476,10 +490,10 @@ class Engine {
   /// The incremental counterpart of InvalidateDominating: for every
   /// cached level dominating `written_level`, splices the translated
   /// fact into the maintained reduced program (kDeltaReduce) and
-  /// propagates the EDB delta into the live fixpoint (kDeltaEval) and
-  /// its decoded serving view (kRegroup). A level whose change cannot
-  /// be applied incrementally falls back to being dropped. Interpreters
-  /// are always dropped (tabled state cannot absorb a retraction).
+  /// propagates the EDB delta into the live fixpoint that queries match
+  /// (kDeltaEval). A level whose change cannot be applied incrementally
+  /// falls back to being dropped. Interpreters are always dropped
+  /// (tabled state cannot absorb a retraction).
   /// `fact` is the mutated Sigma clause; `sigma_index` its store
   /// position before a retract erased it. Assumes db_mu held
   /// exclusively.

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "common/str_util.h"
 #include "datalog/unify.h"
 
 namespace multilog::ml {
@@ -176,8 +177,30 @@ Result<Atom> SpecializeAtom(const Atom& atom, int pos) {
   return Atom(atom.predicate() + "__" + level.name(), std::move(args));
 }
 
+/// The inverse of SpecializeAtom: rel__s(P,K,A,V,C) -> rel(P,K,A,V,C,s).
+/// Atoms of any other predicate are returned unchanged.
+Atom DespecializeAtom(const Atom& atom) {
+  static const struct {
+    const char* base;
+    size_t level_pos;
+  } kTargets[] = {{"rel", 5}, {"bel", 5}, {"vis", 5}, {"overridden", 4}};
+  const std::string& name = atom.predicate();
+  for (const auto& target : kTargets) {
+    const std::string prefix = std::string(target.base) + "__";
+    if (!StartsWith(name, prefix)) continue;
+    std::vector<Term> args = atom.args();
+    args.insert(args.begin() + static_cast<ptrdiff_t>(target.level_pos),
+                Sym(name.substr(prefix.size())));
+    return Atom(target.base, std::move(args));
+  }
+  return atom;
+}
+
 /// Statically evaluates ground dominate/sdom/level literals against the
-/// lattice. Returns 1 (true), 0 (false), -1 (not statically known).
+/// lattice, and specialization targets whose level position holds
+/// neither a variable nor a symbol: in a specializable program their
+/// facts carry a level symbol there, so such an atom matches nothing.
+/// Returns 1 (true), 0 (false), -1 (not statically known).
 int StaticTruth(const lattice::SecurityLattice& lat, const Literal& lit) {
   if (lit.is_builtin()) return -1;
   static const datalog::PredicateId kDominate("dominate/2");
@@ -185,8 +208,13 @@ int StaticTruth(const lattice::SecurityLattice& lat, const Literal& lit) {
   static const datalog::PredicateId kLevel("level/1");
   const Atom& a = lit.atom();
   const datalog::PredicateId id = a.PredicateId();
+  const int level_pos = LevelPosition(a);
   bool truth;
-  if (id == kDominate && a.args()[0].IsSymbol() && a.args()[1].IsSymbol()) {
+  if (level_pos >= 0 && !a.args()[level_pos].IsVariable() &&
+      !a.args()[level_pos].IsSymbol()) {
+    truth = false;
+  } else if (id == kDominate && a.args()[0].IsSymbol() &&
+             a.args()[1].IsSymbol()) {
     truth = lat.Leq(a.args()[0].name(), a.args()[1].name()).value_or(false);
   } else if (id == kSdom && a.args()[0].IsSymbol() &&
              a.args()[1].IsSymbol()) {
@@ -553,6 +581,16 @@ ReducedProgram::TranslateGoal(const std::vector<MlLiteral>& goal) const {
       ++i;
     }
     out.push_back(std::move(list));
+  }
+  return out;
+}
+
+datalog::Model DecodeModel(const datalog::Model& model) {
+  datalog::Model out;
+  for (const std::string& pred : model.Predicates()) {
+    for (const Atom& fact : model.FactsFor(pred)) {
+      out.Insert(DespecializeAtom(fact));
+    }
   }
   return out;
 }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "datalog/model.h"
 #include "datalog/program.h"
 #include "multilog/ast.h"
 #include "multilog/database.h"
@@ -136,6 +137,13 @@ Result<datalog::Program> TranslateDatabase(const CheckedDatabase& cdb,
 /// unspecialized form used by the operational interpreter).
 Result<std::vector<datalog::Literal>> TranslateGoalGeneric(
     const std::vector<MlLiteral>& goal, const std::string& user_level);
+
+/// The generic form of a model of ReducedProgram::program: undoes the
+/// level specialization, renaming rel__u(P,K,A,V,C) back to
+/// rel(P,K,A,V,C,u) (likewise bel__u, vis__u and overridden__u); every
+/// other fact is copied unchanged. The renaming is injective, so the
+/// result holds exactly one fact per input fact.
+datalog::Model DecodeModel(const datalog::Model& model);
 
 }  // namespace multilog::ml
 

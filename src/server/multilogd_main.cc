@@ -47,10 +47,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <semaphore.h>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "mls/sample_data.h"
 #include "multilog/engine.h"
@@ -104,11 +106,27 @@ int main(int argc, char** argv) {
   ml::EngineOptions engine_options;
   replication::Replicator::Options replica_options;
   options.port = 7690;
+  // The count flags start at 1: at 0 the loop would have no worker,
+  // connection, admission slot or request byte to serve with.
+  constexpr uint64_t kMaxCount = std::numeric_limits<int32_t>::max();
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
+    };
+    // A numeric flag's value: digits only, within [min, max]. Junk or an
+    // out-of-range value is refused rather than read as 0 by atol.
+    auto number = [&](uint64_t min, uint64_t max, auto* out) -> bool {
+      const char* v = next();
+      if (v == nullptr) return false;
+      Result<uint64_t> n = server::ParseUnsigned(v, min, max, arg);
+      if (!n.ok()) {
+        std::fprintf(stderr, "%s\n", n.status().ToString().c_str());
+        return false;
+      }
+      *out = static_cast<std::remove_pointer_t<decltype(out)>>(*n);
+      return true;
     };
     if (arg == "--db") {
       const char* v = next();
@@ -164,26 +182,22 @@ int main(int argc, char** argv) {
       options.port = *port;
     } else if (arg == "--workers") {
       engine_flags.push_back(arg);
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.num_workers = static_cast<size_t>(std::atol(v));
+      if (!number(1, kMaxCount, &options.num_workers)) return Usage(argv[0]);
     } else if (arg == "--max-conns") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.max_connections = static_cast<size_t>(std::atol(v));
+      if (!number(1, kMaxCount, &options.max_connections)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--max-inflight") {
       engine_flags.push_back(arg);
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.max_in_flight = static_cast<size_t>(std::atol(v));
+      if (!number(1, kMaxCount, &options.max_in_flight)) return Usage(argv[0]);
     } else if (arg == "--max-request-bytes") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.max_request_bytes = static_cast<size_t>(std::atol(v));
+      if (!number(1, kMaxCount, &options.max_request_bytes)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--deadline-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.default_deadline_ms = std::atol(v);
+      if (!number(0, server::kMaxRequestMs, &options.default_deadline_ms)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--slow-query-ms") {
       engine_flags.push_back(arg);
       const char* v = next();
@@ -329,8 +343,10 @@ int main(int argc, char** argv) {
   }
   std::printf(")\n");
   if (!data_dir.empty()) {
+    // Through the engine's lock: the loop is already serving writes.
+    const uint64_t next_seqno = engine->StorageStats().next_seqno;
     std::printf("durable: %s (next seqno %llu)\n", data_dir.c_str(),
-                static_cast<unsigned long long>(storage->next_seqno()));
+                static_cast<unsigned long long>(next_seqno));
   }
   if (is_replica) {
     std::printf("read-only replica of %s:%u (applied seqno %llu)\n",

@@ -183,18 +183,27 @@ Result<ml::ExecMode> ParseExecMode(std::string_view name) {
       "' (expected operational|reduced|check_both)");
 }
 
-Result<uint16_t> ParsePort(std::string_view text, bool allow_ephemeral) {
+Result<uint64_t> ParseUnsigned(std::string_view text, uint64_t min,
+                               uint64_t max, std::string_view what) {
   const Status bad = Status::InvalidArgument(
-      "invalid port '" + std::string(text) + "' (expected " +
-      (allow_ephemeral ? "0-65535" : "1-65535") + ")");
-  if (text.empty() || text.size() > 5) return bad;
-  uint32_t value = 0;
+      "invalid " + std::string(what) + " '" + std::string(text) +
+      "' (expected " + std::to_string(min) + "-" + std::to_string(max) + ")");
+  // 19 digits always fit in a uint64_t, so the loop cannot overflow.
+  if (text.empty() || text.size() > 19) return bad;
+  uint64_t value = 0;
   for (const char c : text) {
     if (c < '0' || c > '9') return bad;
-    value = value * 10 + static_cast<uint32_t>(c - '0');
+    value = value * 10 + static_cast<uint64_t>(c - '0');
   }
-  if (value < (allow_ephemeral ? 0u : 1u) || value > 65535) return bad;
-  return static_cast<uint16_t>(value);
+  if (value < min || value > max) return bad;
+  return value;
+}
+
+Result<uint16_t> ParsePort(std::string_view text, bool allow_ephemeral) {
+  MULTILOG_ASSIGN_OR_RETURN(
+      uint64_t port,
+      ParseUnsigned(text, allow_ephemeral ? 0 : 1, 65535, "port"));
+  return static_cast<uint16_t>(port);
 }
 
 Result<Endpoint> ParseHostPort(std::string_view text) {
@@ -295,9 +304,11 @@ Result<Request> ParseRequest(const Json& json) {
       req.mode = m;
     }
     if (const Json* dl = json.Find("deadline_ms"); dl != nullptr) {
-      if (!dl->is_int() || dl->int_value() < 0) {
+      if (!dl->is_int() || dl->int_value() < 0 ||
+          dl->int_value() > kMaxRequestMs) {
         return Status::InvalidArgument(
-            "'deadline_ms' must be a non-negative integer");
+            "'deadline_ms' must be an integer in [0, " +
+            std::to_string(kMaxRequestMs) + "]");
       }
       req.deadline_ms = dl->int_value();
     }
@@ -321,9 +332,11 @@ Result<Request> ParseRequest(const Json& json) {
       req.min_seqno = static_cast<uint64_t>(ms->int_value());
     }
     if (const Json* wm = json.Find("wait_ms"); wm != nullptr) {
-      if (!wm->is_int() || wm->int_value() < 0) {
+      if (!wm->is_int() || wm->int_value() < 0 ||
+          wm->int_value() > kMaxRequestMs) {
         return Status::InvalidArgument(
-            "'wait_ms' must be a non-negative integer");
+            "'wait_ms' must be an integer in [0, " +
+            std::to_string(kMaxRequestMs) + "]");
       }
       req.wait_ms = wm->int_value();
     }

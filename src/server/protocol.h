@@ -195,12 +195,26 @@ Result<Request> ParseRequest(const Json& json);
 Result<ml::ExecMode> ParseExecMode(std::string_view name);
 const char* ExecModeName(ml::ExecMode mode);
 
-/// Parses a TCP port for the CLI tools: the text must be all digits
-/// and in [1, 65535]. Rejects what `atoi` silently mangles - empty
-/// strings, trailing junk ("80x"), negatives, and values past 65535
-/// that a uint16_t cast would wrap ("70000" -> 4464). The daemon
-/// passes `allow_ephemeral` so "--port 0" keeps its meaning of "bind
-/// an OS-assigned port"; a client has nothing to connect to at 0.
+/// The largest `deadline_ms` and `wait_ms` a query may carry, and the
+/// largest `multilogd --deadline-ms`: one day. Larger values are refused
+/// with InvalidArgument, as negative ones are - the server converts
+/// them to nanosecond clock durations, which overflow int64 past about
+/// 9.2e12 ms.
+inline constexpr int64_t kMaxRequestMs = 24 * 60 * 60 * 1000;
+
+/// Parses a numeric argument of the CLI tools: the text must be all
+/// digits and within [min, max]. Rejects what `atol` silently mangles -
+/// empty strings, junk ("abc" reads as 0), trailing junk ("80x"),
+/// signs, and values that overflow or a narrowing cast would wrap. The
+/// error reads "invalid <what> '<text>' (expected <min>-<max>)".
+Result<uint64_t> ParseUnsigned(std::string_view text, uint64_t min,
+                               uint64_t max, std::string_view what);
+
+/// Parses a TCP port for the CLI tools: ParseUnsigned over [1, 65535],
+/// so "70000" is refused rather than wrapped to 4464 by a uint16_t
+/// cast. The daemon passes `allow_ephemeral` so "--port 0" keeps its
+/// meaning of "bind an OS-assigned port"; a client has nothing to
+/// connect to at 0.
 Result<uint16_t> ParsePort(std::string_view text, bool allow_ephemeral = false);
 
 /// A dialable address for the CLI tools and the router.

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Bad --port values must fail fast with a diagnostic. Before the
-# ParsePort helper, "70000" silently truncated through a uint16_t cast
-# to 4464 and the daemon served on the wrong port.
+# Bad --port values, and bad values of the daemon's other numeric
+# flags, must fail fast with a diagnostic. Before the ParsePort helper,
+# "70000" silently truncated through a uint16_t cast to 4464 and the
+# daemon served on the wrong port.
 #
 # Usage: cli_port_test.sh <build-dir>
 set -u
@@ -35,6 +36,45 @@ check "client zero" "$bin/src/server/multilog_client" --port 0 ping
 out=$("$bin/src/server/multilog_client" --port 65535 ping 2>&1)
 if [ $? -eq 0 ] || grep -q "invalid port" <<<"$out"; then
   echo "FAIL(valid port): $out"
+  fail=1
+fi
+
+# The daemon's numeric flags go through the same digits-only parser.
+# Under atol, junk read as 0, and "--workers 0" started a daemon that
+# answered HELLO but never a query. Each bad value must now be a usage
+# error naming the flag; `timeout` turns a daemon that starts anyway
+# into a failure instead of a hang.
+check_flag() {
+  local flag="$1" value="$2"
+  local out rc
+  out=$(timeout 5 "$bin/src/server/multilogd" --sample --port 0 \
+          "$flag" "$value" 2>&1)
+  rc=$?
+  if [ "$rc" -eq 0 ] || [ "$rc" -eq 124 ] ||
+     ! grep -q -- "invalid $flag '$value'" <<<"$out"; then
+    echo "FAIL($flag $value): exit $rc, got: $out"
+    fail=1
+  fi
+}
+for flag in --workers --max-conns --max-inflight --max-request-bytes; do
+  for value in 0 abc 8x -1 99999999999; do
+    check_flag "$flag" "$value"
+  done
+done
+# --deadline-ms 0 means "no default deadline"; past one day
+# (86400000 ms) is refused, as the wire refuses such a deadline_ms.
+for value in abc -1 86400001; do
+  check_flag --deadline-ms "$value"
+done
+
+# Good values must still parse: the daemon starts and is still serving
+# when `timeout` stops it.
+out=$(timeout 2 "$bin/src/server/multilogd" --sample --port 0 --workers 2 \
+        --max-conns 8 --max-inflight 8 --max-request-bytes 4096 \
+        --deadline-ms 86400000 2>&1)
+rc=$?
+if [ "$rc" -ne 124 ] || grep -q "invalid" <<<"$out"; then
+  echo "FAIL(valid flags): exit $rc, got: $out"
   fail=1
 fi
 

@@ -72,6 +72,12 @@ TEST_F(RobustnessTest, PayloadTierErrorsKeepTheConnectionOpen) {
       {"{\"cmd\":\"query\",\"goal\":\"\"}", "InvalidArgument"},
       {"{\"cmd\":\"query\",\"goal\":\"x\",\"deadline_ms\":-5}",
        "InvalidArgument"},
+      // One past the one-day ceiling (kMaxRequestMs): larger values
+      // overflowed the server's nanosecond deadline arithmetic.
+      {"{\"cmd\":\"query\",\"goal\":\"x\",\"deadline_ms\":86400001}",
+       "InvalidArgument"},
+      {"{\"cmd\":\"query\",\"goal\":\"x\",\"wait_ms\":86400001}",
+       "InvalidArgument"},
       {"{\"cmd\":\"query\",\"goal\":\"x\",\"proofs\":\"yes\"}",
        "InvalidArgument"},
       {"{\"cmd\":\"sql\",\"sql\":true}", "InvalidArgument"},
