@@ -13,11 +13,19 @@
 // for a random key in operational mode and renders every proof. The
 // symbols_per_query counter is the growth of the process-wide symbol
 // table per proof lookup (fresh variable names of renamed clauses).
+//
+// BM_WritePair/N is the write side over the same shape at N entities:
+// with the u, c and s models warm, one iteration asserts a new u-level
+// entity and retracts it, and each write maintains the three models
+// (incremental maintenance). The assert_us and retract_us counters
+// time the two writes apart.
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -35,12 +43,12 @@ constexpr size_t kEntities = 1000;
 const char* const kLevels[] = {"u", "c", "s", "ts"};
 const char* const kModes[] = {"fir", "opt", "cau"};
 
-std::string MissionSource() {
+std::string MissionSource(size_t entities) {
   std::mt19937_64 rng(3);
   std::string src =
       "level(u). level(c). level(s). level(ts).\n"
       "order(u, c). order(c, s). order(s, ts).\n";
-  for (size_t i = 0; i < kEntities; ++i) {
+  for (size_t i = 0; i < entities; ++i) {
     const std::string l = kLevels[i % 4];
     const std::string key = "k" + std::to_string(i);
     src += l + "[mission(" + key + " : starship -" + l + "-> " + key +
@@ -66,7 +74,7 @@ std::string Goal(const std::string& level, const std::string& key,
 
 Engine& WarmEngine() {
   static Engine* engine = [] {
-    Result<Engine> e = Engine::FromSource(MissionSource());
+    Result<Engine> e = Engine::FromSource(MissionSource(kEntities));
     if (!e.ok()) {
       std::fprintf(stderr, "%s\n", e.status().ToString().c_str());
       std::abort();
@@ -125,6 +133,52 @@ void BM_ProofLookup(benchmark::State& state) {
       static_cast<double>(turn);
 }
 BENCHMARK(BM_ProofLookup)->Unit(benchmark::kMicrosecond);
+
+/// An engine over `entities` entities with the u, c and s models built.
+Engine& WriteEngine(size_t entities) {
+  static std::map<size_t, Engine*> engines;
+  Engine*& engine = engines[entities];
+  if (engine == nullptr) {
+    Result<Engine> e = Engine::FromSource(MissionSource(entities));
+    if (!e.ok()) {
+      std::fprintf(stderr, "%s\n", e.status().ToString().c_str());
+      std::abort();
+    }
+    engine = new Engine(std::move(*e));
+    for (const char* l : {"u", "c", "s"}) {
+      if (!engine->QuerySource(Goal(l, "K", "cau"), l).ok()) std::abort();
+    }
+  }
+  return *engine;
+}
+
+void BM_WritePair(benchmark::State& state) {
+  Engine& engine = WriteEngine(static_cast<size_t>(state.range(0)));
+  const std::string fact =
+      "u[mission(w0 : starship -u-> w0, objective -u-> o1, "
+      "destin -u-> d1)].";
+  using Clock = std::chrono::steady_clock;
+  Clock::duration asserting{}, retracting{};
+  for (auto _ : state) {
+    const Clock::time_point start = Clock::now();
+    if (!engine.Assert(fact, "u").ok()) std::abort();
+    const Clock::time_point mid = Clock::now();
+    if (!engine.Retract(fact, "u").ok()) std::abort();
+    asserting += mid - start;
+    retracting += Clock::now() - mid;
+  }
+  auto mean_us = [&state](Clock::duration total) {
+    return std::chrono::duration<double, std::micro>(total).count() /
+           static_cast<double>(state.iterations());
+  };
+  state.counters["assert_us"] = mean_us(asserting);
+  state.counters["retract_us"] = mean_us(retracting);
+}
+BENCHMARK(BM_WritePair)
+    ->Arg(60)
+    ->Arg(250)
+    ->Arg(1000)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -62,12 +62,14 @@ Status Clause::CheckSafety() const {
     }
   }
 
+  // `where` renders the offending head or literal; it runs only on
+  // failure, so a safe clause renders nothing.
   auto check = [&bound](const std::vector<Symbol>& vars,
-                        const std::string& where) -> Status {
+                        const auto& where) -> Status {
     for (Symbol v : vars) {
       if (!bound.count(v)) {
         return Status::InvalidProgram("unsafe clause: variable '" + v.str() +
-                                      "' in " + where +
+                                      "' in " + where() +
                                       " does not occur in any positive "
                                       "body literal");
       }
@@ -87,13 +89,15 @@ Status Clause::CheckSafety() const {
   } else {
     head_.CollectVariables(&head_vars);
   }
-  MULTILOG_RETURN_IF_ERROR(check(head_vars, "head " + head_.ToString()));
+  MULTILOG_RETURN_IF_ERROR(
+      check(head_vars, [this] { return "head " + head_.ToString(); }));
 
   for (const Literal& lit : body_) {
     if (lit.is_builtin() || lit.negated()) {
       std::vector<Symbol> vars;
       lit.CollectVariables(&vars);
-      MULTILOG_RETURN_IF_ERROR(check(vars, "literal " + lit.ToString()));
+      MULTILOG_RETURN_IF_ERROR(
+          check(vars, [&lit] { return "literal " + lit.ToString(); }));
     }
   }
   return Status::OK();

@@ -711,6 +711,26 @@ Status EvaluateStratumNaive(const std::vector<const Clause*>& clauses,
   return Status::OK();
 }
 
+/// A ground bodyless fact clause - what PreparedProgram::edb holds.
+bool IsEdbFact(const Clause& c) { return c.IsFact() && !c.is_aggregate(); }
+
+/// The clauses of stratum `s` of `prepared`, in program order.
+std::vector<const Clause*> StratumRules(const PreparedProgram& prepared,
+                                        size_t s) {
+  std::vector<const Clause*> clauses;
+  if (s >= prepared.stratum_rules.size()) return clauses;
+  clauses.reserve(prepared.stratum_rules[s].size());
+  for (size_t i : prepared.stratum_rules[s]) {
+    clauses.push_back(&prepared.rules.clauses()[i]);
+  }
+  return clauses;
+}
+
+PredicateIdSet StratumPredicates(const Stratification& strat, size_t s) {
+  if (s >= strat.num_strata()) return {};
+  return PredicateIdSet(strat.strata[s].begin(), strat.strata[s].end());
+}
+
 }  // namespace
 
 Result<PreparedProgram> PrepareProgram(const Program& program,
@@ -721,12 +741,18 @@ Result<PreparedProgram> PrepareProgram(const Program& program,
   MULTILOG_RETURN_IF_ERROR(program.CheckSafety());
   PreparedProgram prepared;
   MULTILOG_ASSIGN_OR_RETURN(prepared.strat, Stratify(program));
-  if (options.reorder_body) {
-    for (const Clause& c : program.clauses()) {
-      prepared.program.AddClause(ReorderBody(c));
+  prepared.stratum_rules.resize(prepared.strat.num_strata());
+  for (const Clause& c : program.clauses()) {
+    if (IsEdbFact(c)) {
+      ++prepared.edb[c.head()];
+      continue;
     }
-  } else {
-    prepared.program = program;
+    const size_t index = prepared.rules.size();
+    prepared.rules.AddClause(options.reorder_body ? ReorderBody(c) : c);
+    const PredicateId head = c.head().PredicateId();
+    prepared.stratum_rules[prepared.strat.stratum_of.at(head)].push_back(
+        index);
+    prepared.rules_for[head].push_back(index);
   }
   return prepared;
 }
@@ -742,19 +768,20 @@ Result<Model> EvaluatePrepared(const PreparedProgram& prepared,
     pool = std::make_unique<ThreadPool>(options.num_threads - 1);
   }
 
+  // Seeds and facts land before the first stratum, so round 0 of every
+  // stratum sees them; facts depend on nothing, so the fixpoint is the
+  // one a per-stratum insertion would reach.
   Model model;
-  // Seeds land before the first stratum, so round 0 of every stratum
-  // sees them exactly like program facts.
   for (const Atom& seed : seeds) model.Insert(seed);
+  for (const auto& [fact, support] : prepared.edb) model.Insert(fact);
+  if (model.size() > options.max_facts) {
+    return Status::ResourceExhausted("evaluation exceeded max_facts = " +
+                                     std::to_string(options.max_facts));
+  }
 
-  const Stratification& strat = prepared.strat;
-  for (size_t s = 0; s < strat.num_strata(); ++s) {
-    PredicateIdSet stratum_preds(strat.strata[s].begin(),
-                                 strat.strata[s].end());
-    std::vector<const Clause*> clauses;
-    for (const Clause& c : prepared.program.clauses()) {
-      if (stratum_preds.count(c.head().PredicateId())) clauses.push_back(&c);
-    }
+  for (size_t s = 0; s < prepared.strat.num_strata(); ++s) {
+    const PredicateIdSet stratum_preds = StratumPredicates(prepared.strat, s);
+    const std::vector<const Clause*> clauses = StratumRules(prepared, s);
     if (options.strategy == EvalOptions::Strategy::kSeminaive) {
       MULTILOG_RETURN_IF_ERROR(EvaluateStratumSeminaive(
           clauses, stratum_preds, options, pool.get(), &model, stats));
@@ -770,7 +797,13 @@ Result<Model> Evaluate(const Program& program, const EvalOptions& options,
                        EvalStats* stats) {
   MULTILOG_ASSIGN_OR_RETURN(PreparedProgram prepared,
                             PrepareProgram(program, options));
-  return EvaluatePrepared(prepared, {}, options, stats);
+  // The facts go in as seeds too, so each relation lists them in
+  // program order (the lattice builder reads level/1 in Lambda's order).
+  std::vector<Atom> facts;
+  for (const Clause& c : program.clauses()) {
+    if (IsEdbFact(c)) facts.push_back(c.head());
+  }
+  return EvaluatePrepared(prepared, facts, options, stats);
 }
 
 namespace {
@@ -785,39 +818,37 @@ Status RederiveFound() {
 
 }  // namespace
 
-Result<DeltaChanges> ApplyDelta(const Program& program,
+Result<DeltaChanges> ApplyDelta(PreparedProgram* prepared,
                                 const std::vector<Atom>& adds,
                                 const std::vector<Atom>& removes,
                                 Model* model, const EvalOptions& options,
                                 EvalStats* stats) {
-  for (const Clause& c : program.clauses()) {
+  for (const Clause& c : prepared->rules.clauses()) {
     if (c.is_aggregate()) {
       return Status::InvalidProgram(
           "ApplyDelta: aggregate clauses are not incrementally "
           "maintainable");
     }
   }
-  MULTILOG_RETURN_IF_ERROR(program.CheckSafety());
-  MULTILOG_ASSIGN_OR_RETURN(Stratification strat, Stratify(program));
-
-  Program reordered;
-  const Program* effective = &program;
-  if (options.reorder_body) {
-    for (const Clause& c : program.clauses()) {
-      reordered.AddClause(ReorderBody(c));
+  // The EDB support moves first: rederivation asks it whether a doomed
+  // fact still has a fact clause in the post-mutation program.
+  for (const Atom& a : adds) ++prepared->edb[a];
+  for (const Atom& a : removes) {
+    auto it = prepared->edb.find(a);
+    if (it != prepared->edb.end() && --it->second == 0) {
+      prepared->edb.erase(it);
     }
-    effective = &reordered;
   }
+  const Stratification& strat = prepared->strat;
 
   std::unique_ptr<ThreadPool> pool;
   if (options.num_threads > 1) {
     pool = std::make_unique<ThreadPool>(options.num_threads - 1);
   }
 
-  // Partition the external EDB delta by the stratum of its predicate. A
-  // removed atom whose predicate no longer appears in the program has
-  // no stratum; nothing can rederive or consume it, so stratum 0 is as
-  // good as any (it just gets dropped from the model there).
+  // Partition the external EDB delta by the stratum of its predicate. An
+  // atom whose predicate no rule mentions has no stratum; nothing can
+  // derive from or consume it, so stratum 0 is as good as any.
   const size_t nstrata = std::max<size_t>(strat.num_strata(), 1);
   std::vector<std::vector<Atom>> ext_adds(nstrata), ext_removes(nstrata);
   auto stratum_of = [&strat, nstrata](const Atom& a) -> size_t {
@@ -835,22 +866,30 @@ Result<DeltaChanges> ApplyDelta(const Program& program,
   PredicateIdSet net_added_preds, net_removed_preds;
 
   for (size_t s = 0; s < nstrata; ++s) {
-    PredicateIdSet stratum_preds;
-    if (s < strat.num_strata()) {
-      stratum_preds.insert(strat.strata[s].begin(), strat.strata[s].end());
+    if (ext_adds[s].empty() && ext_removes[s].empty() && net.added.empty() &&
+        net.removed.empty()) {
+      continue;  // nothing reaches this stratum
     }
-    std::vector<const Clause*> clauses;
-    for (const Clause& c : effective->clauses()) {
-      if (stratum_preds.count(c.head().PredicateId())) clauses.push_back(&c);
-    }
-
+    const PredicateIdSet stratum_preds = StratumPredicates(strat, s);
+    const std::vector<const Clause*> clauses = StratumRules(*prepared, s);
     // --- Phase 1: overestimate deletions (DRed). Joins must see the
-    // pre-mutation state, so the settled removals are temporarily
-    // reinserted; the model then shows old facts for positive joins
-    // (plus the settled additions - harmless, over-deletion is repaired
-    // by rederivation) while negation recovers the *exact* old state by
-    // masking the settled additions (JoinBody's neg_absent).
-    for (const Atom& a : net.removed) model->Insert(a);
+    // pre-mutation state, so the settled removals this stratum's rules
+    // read are temporarily reinserted; the model then shows old facts
+    // for positive joins (plus the settled additions - harmless,
+    // over-deletion is repaired by rederivation) while negation recovers
+    // the *exact* old state by masking the settled additions (JoinBody's
+    // neg_absent).
+    if (!net.removed.empty()) {
+      PredicateIdSet read;
+      for (const Clause* c : clauses) {
+        for (const Literal& lit : c->body()) {
+          if (!lit.is_builtin()) read.insert(lit.atom().PredicateId());
+        }
+      }
+      for (const Atom& a : net.removed) {
+        if (read.count(a.PredicateId()) > 0) model->Insert(a);
+      }
+    }
 
     AtomSet doomed;
     std::vector<Atom> doomed_order;
@@ -947,38 +986,39 @@ Result<DeltaChanges> ApplyDelta(const Program& program,
 
     // --- Phase 2: drop the overestimate along with the reinserted
     // old-state scaffolding; the model now underestimates the stratum.
-    {
-      std::vector<Atom> scaffold = net.removed;
-      scaffold.insert(scaffold.end(), doomed_order.begin(),
-                      doomed_order.end());
-      model->RemoveFacts(scaffold);
-    }
+    model->RemoveFacts(net.removed);
+    model->RemoveFacts(doomed_order);
 
     // --- Phase 3: rederive. A doomed fact with an alternative
     // derivation in the new state comes back; rederived facts then
     // propagate semi-naively, resurrecting doomed facts that depended
-    // on them. Because `program` is the post-mutation program, an EDB
-    // atom still backed by another fact clause rederives through that
-    // clause's empty body here.
+    // on them. An EDB atom still backed by a fact clause comes back on
+    // its support alone; otherwise only the rules of its predicate are
+    // tried.
     std::vector<Atom> inserted_log;
     std::vector<Atom> redelta;
     for (const Atom& f : doomed_order) {
       MULTILOG_RETURN_IF_ERROR(CheckCancelled(options.cancel));
-      bool found = false;
-      for (const Clause* c : clauses) {
-        std::optional<Substitution> head_subst =
-            UnifyAtoms(c->head(), f, Substitution());
-        if (!head_subst.has_value()) continue;
-        if (stats != nullptr) ++stats->rule_applications;
-        Status st = JoinBody(
-            c->body(), 0, *model, nullptr, nullptr, -1, nullptr, *head_subst,
-            [](const Substitution&) -> Status { return RederiveFound(); });
-        if (st.ok()) continue;
-        if (st == RederiveFound()) {
-          found = true;
-          break;
+      bool found = prepared->edb.count(f) > 0;
+      auto rules_it = prepared->rules_for.find(f.PredicateId());
+      if (!found && rules_it != prepared->rules_for.end()) {
+        for (size_t i : rules_it->second) {
+          const Clause& c = prepared->rules.clauses()[i];
+          std::optional<Substitution> head_subst =
+              UnifyAtoms(c.head(), f, Substitution());
+          if (!head_subst.has_value()) continue;
+          if (stats != nullptr) ++stats->rule_applications;
+          Status st = JoinBody(
+              c.body(), 0, *model, nullptr, nullptr, -1, nullptr,
+              *head_subst,
+              [](const Substitution&) -> Status { return RederiveFound(); });
+          if (st.ok()) continue;
+          if (st == RederiveFound()) {
+            found = true;
+            break;
+          }
+          return st;
         }
-        return st;
       }
       if (found && model->Insert(f)) {
         inserted_log.push_back(f);

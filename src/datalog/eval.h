@@ -2,6 +2,8 @@
 #define MULTILOG_DATALOG_EVAL_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "common/cancel.h"
@@ -70,34 +72,53 @@ struct EvalStats {
 };
 
 /// Computes the stratified minimal model of `program`. The program must
-/// be safe (range-restricted) and stratifiable; both are checked.
+/// be safe (range-restricted) and stratifiable; both are checked. Each
+/// relation lists the program's facts first, in program order.
 Result<Model> Evaluate(const Program& program, const EvalOptions& options = {},
                        EvalStats* stats = nullptr);
 
-/// A program compiled once for repeated evaluation: safety-checked,
-/// stratified, and (when the preparing EvalOptions ask for it)
-/// body-reordered. The per-call work of EvaluatePrepared is then the
-/// fixpoint alone - the magic-sets plan cache in ml::Engine stores one
-/// of these per (level, binding pattern).
+/// A program compiled once for repeated evaluation and for incremental
+/// maintenance: safety-checked, stratified, and (when the preparing
+/// EvalOptions ask for it) body-reordered, with its ground facts held
+/// apart from its rules. The per-call work of EvaluatePrepared is then
+/// the fixpoint alone - the magic-sets plan cache in ml::Engine stores
+/// one of these per (level, binding pattern) - and ApplyDelta keeps one
+/// beside each maintained model, updating `edb` as facts come and go.
+/// Fact changes never add a dependency edge, so `strat` and the rule
+/// lists stay valid across every ApplyDelta call.
 struct PreparedProgram {
-  Program program;  // body-reordered iff the preparing options said so
+  /// Every clause except the bodyless facts, in program order;
+  /// body-reordered iff the preparing options said so.
+  Program rules;
+  /// The ground facts (the EDB), each with its support: the number of
+  /// fact clauses stating it (a program may state a fact twice).
+  std::unordered_map<Atom, uint32_t, AtomHash> edb;
+  /// Stratification of the whole program, facts included.
   Stratification strat;
+  /// Per stratum, the indexes into rules.clauses() of the rules whose
+  /// head predicate lives there, in program order.
+  std::vector<std::vector<size_t>> stratum_rules;
+  /// Head predicate -> indexes into rules.clauses() of its rules.
+  std::unordered_map<PredicateId, std::vector<size_t>, PredicateIdHash>
+      rules_for;
 };
 
 /// Compiles `program` for repeated evaluation: CheckSafety + Stratify
-/// (both on the original program) plus the ReorderBody pass when
-/// `options.reorder_body` is set. The returned value is immutable and
-/// self-contained (it copies the clauses), so it can outlive `program`.
+/// (both on the original program) plus the ReorderBody pass over the
+/// rules when `options.reorder_body` is set, and the fact clauses
+/// counted into `edb`. The returned value is self-contained (it copies
+/// the rules and facts), so it can outlive `program`.
 Result<PreparedProgram> PrepareProgram(const Program& program,
                                        const EvalOptions& options = {});
 
-/// Evaluates a prepared program. `seeds` are ground atoms inserted into
-/// the model before the first stratum runs - the magic-sets execution
-/// path passes the query's magic seed here, so one prepared rewrite
-/// serves every query with the same binding pattern. With empty seeds
-/// this is exactly Evaluate on the prepared clauses. `options`'
-/// strategy / max_facts / cancel / num_threads apply as in Evaluate;
-/// reorder_body is ignored (reordering happened at preparation).
+/// Evaluates a prepared program. `seeds`, then the prepared EDB, are
+/// inserted into the model before the first stratum runs - the
+/// magic-sets execution path passes the query's magic seed here, so one
+/// prepared rewrite serves every query with the same binding pattern.
+/// Within a relation, seeds keep their order and EDB facts follow in
+/// hash order. `options`' strategy / max_facts / cancel / num_threads
+/// apply as in Evaluate; reorder_body is ignored (reordering happened
+/// at preparation).
 Result<Model> EvaluatePrepared(const PreparedProgram& prepared,
                                const std::vector<Atom>& seeds,
                                const EvalOptions& options = {},
@@ -106,8 +127,8 @@ Result<Model> EvaluatePrepared(const PreparedProgram& prepared,
 /// The net effect of one ApplyDelta call on the maintained model:
 /// `added` holds facts now in the model that were not before, `removed`
 /// facts that were and are no longer. Both are duplicate-free, disjoint,
-/// and in a deterministic order, so downstream views (decoded models,
-/// belief groupings) can be maintained in O(|added| + |removed|).
+/// and in a deterministic order, so a caller can follow the change in
+/// O(|added| + |removed|).
 struct DeltaChanges {
   std::vector<Atom> added;
   std::vector<Atom> removed;
@@ -117,21 +138,28 @@ struct DeltaChanges {
 /// (DRed-style delete/rederive, per stratum, with semi-naive
 /// propagation of both polarities across strata).
 ///
-/// Contract: `model` is the fixpoint of the *pre-mutation* program, and
-/// `program` is the *post-mutation* program; `adds`/`removes` are the
-/// ground atoms whose bodyless fact clauses were added to / removed
-/// from it. On success `*model` is the fixpoint of `program` - equal,
-/// as a set, to a scratch `Evaluate(program)` (property-tested) - and
-/// the returned DeltaChanges describe the net difference. Because
-/// rederivation runs against the post-mutation program, overlapping EDB
-/// support is handled: removing one of two fact clauses backing the
-/// same atom nets to no change.
+/// Contract: `*prepared` is the prepared pre-mutation program (from
+/// PrepareProgram, or left by earlier ApplyDelta calls) and `*model`
+/// its fixpoint; `adds`/`removes` are the ground atoms whose bodyless
+/// fact clauses were added to / removed from the program. On success
+/// `prepared->edb` counts the post-mutation facts and `*model` is the
+/// post-mutation fixpoint - equal, as a set, to a scratch `Evaluate`
+/// of the post-mutation program (property-tested) - and the returned
+/// DeltaChanges describe the net difference. A doomed fact is
+/// rederived from its remaining EDB support or from the rules of its
+/// head predicate, so overlapping support is handled: removing one of
+/// two fact clauses backing the same atom nets to no change.
 ///
-/// On any error (aggregate clauses, which are not incrementally
-/// maintainable; budget exhaustion; cancellation) `*model` may be left
-/// in an inconsistent intermediate state: the caller must discard it
-/// and fall back to full recomputation.
-Result<DeltaChanges> ApplyDelta(const Program& program,
+/// Cost: no call re-checks, re-stratifies or re-reorders the program.
+/// Each stratum visits only its rules, and removals cost O(arity) each
+/// (Model::RemoveFacts), so a call's work follows the facts it changes
+/// and the joins they feed, not the size of the EDB.
+///
+/// On any error (aggregate rules, which are not incrementally
+/// maintainable; budget exhaustion; cancellation) `*model` and
+/// `*prepared` may be left in an inconsistent intermediate state: the
+/// caller must discard both and fall back to full recomputation.
+Result<DeltaChanges> ApplyDelta(PreparedProgram* prepared,
                                 const std::vector<Atom>& adds,
                                 const std::vector<Atom>& removes,
                                 Model* model, const EvalOptions& options = {},

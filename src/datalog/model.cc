@@ -12,53 +12,70 @@ const std::vector<Atom> kNoFacts;
 bool Model::Insert(const Atom& atom) {
   assert(atom.IsGround());
   Relation& rel = relations_[atom.PredicateId()];
-  if (!rel.set.insert(atom).second) return false;
-  size_t idx = rel.facts.size();
+  if (rel.slots.find(atom) != rel.slots.end()) return false;
+  const uint32_t slot = static_cast<uint32_t>(rel.facts.size());
   rel.facts.push_back(atom);
+  rel.slots.insert(slot);
   if (rel.index.size() < atom.arity()) rel.index.resize(atom.arity());
   for (size_t pos = 0; pos < atom.arity(); ++pos) {
-    rel.index[pos][atom.args()[pos]].push_back(idx);
+    std::vector<uint32_t>& posting = rel.index[pos][atom.args()[pos]];
+    rel.where.push_back(static_cast<uint32_t>(posting.size()));
+    posting.push_back(slot);
   }
   ++size_;
   return true;
 }
 
+void Model::RemoveSlot(Relation* rel, uint32_t slot) {
+  const size_t arity = rel->index.size();
+  const Atom& doomed = rel->facts[slot];
+  // Unlink `slot` from its posting lists: the list's last entry takes
+  // its place, and that entry's back-pointer follows it.
+  for (size_t pos = 0; pos < arity; ++pos) {
+    auto list_it = rel->index[pos].find(doomed.args()[pos]);
+    std::vector<uint32_t>& posting = list_it->second;
+    const uint32_t offset = rel->where[slot * arity + pos];
+    const uint32_t moved = posting.back();
+    posting[offset] = moved;
+    rel->where[moved * arity + pos] = offset;
+    posting.pop_back();
+    if (posting.empty()) rel->index[pos].erase(list_it);
+  }
+  // Fill the hole with the relation's last fact, repointing its posting
+  // entries and its membership entry at the new slot (the entry is
+  // re-keyed while `last` still names the fact, then re-hashed from it).
+  const uint32_t last = static_cast<uint32_t>(rel->facts.size() - 1);
+  if (slot != last) {
+    SlotSet::node_type entry = rel->slots.extract(last);
+    rel->facts[slot] = std::move(rel->facts[last]);
+    const Atom& moved = rel->facts[slot];
+    for (size_t pos = 0; pos < arity; ++pos) {
+      const uint32_t offset = rel->where[last * arity + pos];
+      rel->index[pos].find(moved.args()[pos])->second[offset] = slot;
+      rel->where[slot * arity + pos] = offset;
+    }
+    entry.value() = slot;
+    rel->slots.insert(std::move(entry));
+  }
+  rel->facts.pop_back();
+  rel->where.resize(rel->where.size() - arity);
+}
+
 size_t Model::RemoveFacts(const std::vector<Atom>& atoms) {
-  // Pass 1: drop from the membership sets, tracking touched relations.
-  std::unordered_set<PredicateId, PredicateIdHash> touched;
   size_t removed = 0;
   for (const Atom& atom : atoms) {
     assert(atom.IsGround());
-    auto it = relations_.find(atom.PredicateId());
-    if (it == relations_.end()) continue;
-    if (it->second.set.erase(atom) == 0) continue;
-    touched.insert(it->first);
+    auto rel_it = relations_.find(atom.PredicateId());
+    if (rel_it == relations_.end()) continue;
+    Relation& rel = rel_it->second;
+    auto slot_it = rel.slots.find(atom);
+    if (slot_it == rel.slots.end()) continue;
+    const uint32_t slot = *slot_it;
+    rel.slots.erase(slot_it);
+    RemoveSlot(&rel, slot);
+    if (rel.facts.empty()) relations_.erase(rel_it);
     ++removed;
     --size_;
-  }
-  if (removed == 0) return 0;
-  // Pass 2: rebuild each touched relation's fact vector (surviving
-  // facts keep their relative insertion order) and posting lists.
-  for (const PredicateId& id : touched) {
-    auto it = relations_.find(id);
-    Relation& rel = it->second;
-    if (rel.set.empty()) {
-      relations_.erase(it);
-      continue;
-    }
-    std::vector<Atom> survivors;
-    survivors.reserve(rel.set.size());
-    for (Atom& a : rel.facts) {
-      if (rel.set.count(a) > 0) survivors.push_back(std::move(a));
-    }
-    rel.facts = std::move(survivors);
-    for (auto& posting : rel.index) posting.clear();
-    for (size_t idx = 0; idx < rel.facts.size(); ++idx) {
-      const Atom& a = rel.facts[idx];
-      for (size_t pos = 0; pos < a.arity(); ++pos) {
-        rel.index[pos][a.args()[pos]].push_back(idx);
-      }
-    }
   }
   return removed;
 }
@@ -66,7 +83,7 @@ size_t Model::RemoveFacts(const std::vector<Atom>& atoms) {
 bool Model::Contains(const Atom& atom) const {
   auto it = relations_.find(atom.PredicateId());
   if (it == relations_.end()) return false;
-  return it->second.set.count(atom) > 0;
+  return it->second.slots.find(atom) != it->second.slots.end();
 }
 
 const std::vector<Atom>& Model::FactsFor(const PredicateId& id) const {

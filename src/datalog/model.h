@@ -18,7 +18,7 @@ namespace multilog::datalog {
 class FactSlice {
  public:
   FactSlice() = default;
-  FactSlice(const std::vector<Atom>* facts, const std::vector<size_t>* ids)
+  FactSlice(const std::vector<Atom>* facts, const std::vector<uint32_t>* ids)
       : facts_(facts), ids_(ids) {}
 
   size_t size() const { return ids_ == nullptr ? 0 : ids_->size(); }
@@ -47,7 +47,7 @@ class FactSlice {
 
  private:
   const std::vector<Atom>* facts_ = nullptr;
-  const std::vector<size_t>* ids_ = nullptr;
+  const std::vector<uint32_t>* ids_ = nullptr;
 };
 
 /// A set of ground atoms (an Herbrand interpretation), indexed for the
@@ -69,16 +69,22 @@ class Model {
   bool Insert(const Atom& atom);
 
   /// Removes a batch of ground atoms, ignoring ones not present, and
-  /// returns how many were actually removed. Affected relations are
-  /// rebuilt once per call (facts vector compacted in insertion order,
-  /// posting lists reindexed), so a delta of k facts costs O(sum of the
-  /// touched relations' sizes), not O(k * relation). Invalidates every
-  /// FactSlice and FactsFor reference into the touched relations.
+  /// returns how many were actually removed. Each removal is a
+  /// swap-remove: the relation's last fact moves into the freed slot,
+  /// and per-slot back-pointers locate both facts' posting-list entries,
+  /// which are swap-removed or rewritten in place. So k removals cost
+  /// O(k * arity) hash probes whatever the relation's size. The price is
+  /// fact order: a relation is no longer in insertion order once a fact
+  /// has been removed from it (answers never depend on that order; see
+  /// OrderedAnswers). Invalidates every FactSlice and FactsFor reference
+  /// into the touched relations.
   size_t RemoveFacts(const std::vector<Atom>& atoms);
 
   bool Contains(const Atom& atom) const;
 
-  /// All facts for p/n, in insertion order. Empty vector if none.
+  /// All facts for p/n: in insertion order until the first removal from
+  /// the relation, then in an order RemoveFacts leaves. Empty vector if
+  /// none.
   /// (String call sites like FactsFor("edge/2") convert implicitly.)
   const std::vector<Atom>& FactsFor(const PredicateId& id) const;
 
@@ -102,14 +108,54 @@ class Model {
   bool operator==(const Model& other) const;
 
  private:
-  struct Relation {
-    std::vector<Atom> facts;
-    std::unordered_set<Atom, AtomHash> set;
-    // One posting map per argument position: term -> indices into
-    // `facts`. Sized to the relation's arity on first insert.
-    std::vector<std::unordered_map<Term, std::vector<size_t>, TermHash>>
-        index;
+  // The membership index holds slot numbers and hashes and compares
+  // them by the facts they name, so it keeps no second copy of a fact;
+  // an atom probes it directly (heterogeneous lookup).
+  struct SlotHash {
+    using is_transparent = void;
+    const std::vector<Atom>* facts;
+    size_t operator()(uint32_t slot) const { return (*facts)[slot].Hash(); }
+    size_t operator()(const Atom& atom) const { return atom.Hash(); }
   };
+  struct SlotEq {
+    using is_transparent = void;
+    const std::vector<Atom>* facts;
+    bool operator()(uint32_t a, uint32_t b) const { return a == b; }
+    bool operator()(const Atom& atom, uint32_t slot) const {
+      return (*facts)[slot] == atom;
+    }
+    bool operator()(uint32_t slot, const Atom& atom) const {
+      return (*facts)[slot] == atom;
+    }
+  };
+  using SlotSet = std::unordered_set<uint32_t, SlotHash, SlotEq>;
+
+  struct Relation {
+    // `slots` points into `facts`, so a copy rebinds it to its own.
+    Relation() : slots(0, SlotHash{&facts}, SlotEq{&facts}) {}
+    Relation(const Relation& o)
+        : facts(o.facts),
+          slots(o.slots.begin(), o.slots.end(), o.slots.bucket_count(),
+                SlotHash{&facts}, SlotEq{&facts}),
+          index(o.index),
+          where(o.where) {}
+    Relation& operator=(const Relation&) = delete;
+
+    std::vector<Atom> facts;
+    // Every slot of `facts`.
+    SlotSet slots;
+    // One posting map per argument position: term -> slots in `facts`.
+    // Sized to the relation's arity on first insert.
+    std::vector<std::unordered_map<Term, std::vector<uint32_t>, TermHash>>
+        index;
+    // The back-pointers: where[slot * arity + pos] is the offset of
+    // `slot` within its posting list at `pos`, so a removal edits that
+    // list in O(1) instead of scanning it.
+    std::vector<uint32_t> where;
+  };
+
+  /// Swap-removes the fact at `slot` from `rel` (see RemoveFacts).
+  static void RemoveSlot(Relation* rel, uint32_t slot);
 
   std::unordered_map<PredicateId, Relation, PredicateIdHash> relations_;
   size_t size_ = 0;

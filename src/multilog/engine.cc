@@ -181,7 +181,7 @@ Result<Engine::CachedLevel> Engine::ReducedModelLocked(
       // A model is only ever cached beside its program (every path
       // that drops a program drops the model with it).
       caches_->cache_hits.fetch_add(1, kRelaxed);
-      return CachedLevel{&caches_->reduced.at(level), &it->second};
+      return CachedLevel{&caches_->reduced.at(level), &it->second.model};
     }
   }
   caches_->cache_misses.fetch_add(1, kRelaxed);
@@ -195,14 +195,17 @@ Result<Engine::CachedLevel> Engine::ReducedModelLocked(
                             ReducedLocked(user_level));
   datalog::EvalOptions eval = options_.eval;
   eval.cancel = cancel;
-  Model model;
+  Caches::LevelModel built;
   {
     trace::Span eval_span(trace::Stage::kEvalModel);
-    MULTILOG_ASSIGN_OR_RETURN(model, datalog::Evaluate(rp->program, eval));
+    MULTILOG_ASSIGN_OR_RETURN(built.plan,
+                              datalog::PrepareProgram(rp->program, eval));
+    MULTILOG_ASSIGN_OR_RETURN(built.model,
+                              datalog::EvaluatePrepared(built.plan, {}, eval));
   }
   std::unique_lock<std::shared_mutex> lock(caches_->mu);
-  auto [it, inserted] = caches_->models.try_emplace(level, std::move(model));
-  return CachedLevel{rp, &it->second};
+  auto [it, inserted] = caches_->models.try_emplace(level, std::move(built));
+  return CachedLevel{rp, &it->second.model};
 }
 
 Result<Engine::InterpreterSlot*> Engine::GetInterpreterSlot(
@@ -842,7 +845,9 @@ void Engine::PropagateDelta(const std::string& written_level,
     // or a later splice would cut the wrong clause range. For
     // non-dominating levels the spliced facts are inert - no guard at
     // that session level admits them - so their models, which cannot
-    // have changed, are left untouched.
+    // have changed, are left untouched, and so is the EDB support in
+    // their plans: a fact's level is fixed, so its retract skips exactly
+    // the levels its assert skipped.
     auto rp_it = caches_->reduced.find(sym);
     if (rp_it != caches_->reduced.end()) {
       ReducedProgram& rp = rp_it->second;
@@ -882,13 +887,13 @@ void Engine::PropagateDelta(const std::string& written_level,
         const std::vector<Atom>& removes = retract ? spliced->edb : no_atoms;
         Status applied = [&]() -> Status {
           trace::Span span(trace::Stage::kDeltaEval);
-          return datalog::ApplyDelta(rp.program, adds, removes,
-                                     &model_it->second, options_.eval)
+          return datalog::ApplyDelta(&model_it->second.plan, adds, removes,
+                                     &model_it->second.model, options_.eval)
               .status();
         }();
         if (!applied.ok()) {
-          // The model may be mid-surgery - discard it; the maintained
-          // program stays (it is exact either way).
+          // Model and plan may be mid-surgery - discard both; the
+          // maintained program stays (it is exact either way).
           dropped += caches_->models.erase(sym);
           caches_->fallback_recomputes.fetch_add(1, kRelaxed);
           result->invalidated_levels.push_back(name);

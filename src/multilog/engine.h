@@ -385,11 +385,16 @@ class Engine {
     // names.
     std::map<Symbol, ReducedProgram> reduced;
     /// Each level's fixpoint of its reduced program, in the program's
-    /// own (possibly level-specialized) form: queries match it through
-    /// ReducedProgram::TranslateGoal and writes maintain it through
-    /// ApplyDelta. A level's model is only ever cached beside its
-    /// program in `reduced`.
-    std::map<Symbol, datalog::Model> models;
+    /// own (possibly level-specialized) form, with the prepared program
+    /// it was evaluated from: queries match the model through
+    /// ReducedProgram::TranslateGoal, and writes maintain model and plan
+    /// together through ApplyDelta. A level's model is only ever cached
+    /// beside its program in `reduced`.
+    struct LevelModel {
+      datalog::Model model;
+      datalog::PreparedProgram plan;
+    };
+    std::map<Symbol, LevelModel> models;
     std::map<Symbol, InterpreterSlot> interpreters;
 
     /// One compiled magic plan per (level, goal-signature). A nullptr

@@ -163,7 +163,8 @@ int LevelPosition(const Atom& atom) {
 /// Rewrites a specialization target into its per-level predicate, e.g.
 /// rel(P,K,A,V,C,s) -> rel__s(P,K,A,V,C). The level position must hold a
 /// ground symbol.
-Result<Atom> SpecializeAtom(const Atom& atom, int pos) {
+Result<Atom> SpecializeAtom(const Atom& atom, int pos,
+                            const SpecializedNames& names) {
   const Term& level = atom.args()[pos];
   if (!level.IsSymbol()) {
     return Status::InvalidProgram(
@@ -171,10 +172,12 @@ Result<Atom> SpecializeAtom(const Atom& atom, int pos) {
         ": level position is not a ground symbol");
   }
   std::vector<Term> args;
+  args.reserve(atom.args().size() - 1);
   for (int i = 0; i < static_cast<int>(atom.args().size()); ++i) {
     if (i != pos) args.push_back(atom.args()[i]);
   }
-  return Atom(atom.predicate() + "__" + level.name(), std::move(args));
+  return Atom(names.Get(atom.predicate_symbol(), level.symbol()),
+              std::move(args));
 }
 
 /// The inverse of SpecializeAtom: rel__s(P,K,A,V,C) -> rel(P,K,A,V,C,s).
@@ -233,7 +236,7 @@ int StaticTruth(const lattice::SecurityLattice& lat, const Literal& lit) {
 /// statically false guards.
 Status SpecializeClause(const Clause& clause,
                         const lattice::SecurityLattice& lat,
-                        Program* out) {
+                        const SpecializedNames& names, Program* out) {
   // Collect level-position variables across head and body targets.
   // std::set<Symbol> iterates in lexicographic (resolved-name) order,
   // so the emitted clause order matches the string-keyed era exactly.
@@ -274,8 +277,8 @@ Status SpecializeClause(const Clause& clause,
       if (truth == 1) continue;  // statically satisfied guard
       if (!applied.is_builtin() && LevelPosition(applied.atom()) >= 0) {
         MULTILOG_ASSIGN_OR_RETURN(
-            Atom spec,
-            SpecializeAtom(applied.atom(), LevelPosition(applied.atom())));
+            Atom spec, SpecializeAtom(applied.atom(),
+                                      LevelPosition(applied.atom()), names));
         body.push_back(applied.negated() ? Literal::Negative(std::move(spec))
                                          : Literal::Positive(std::move(spec)));
       } else {
@@ -285,7 +288,8 @@ Status SpecializeClause(const Clause& clause,
     if (!dropped) {
       int head_pos = LevelPosition(head);
       if (head_pos >= 0) {
-        MULTILOG_ASSIGN_OR_RETURN(head, SpecializeAtom(head, head_pos));
+        MULTILOG_ASSIGN_OR_RETURN(head,
+                                  SpecializeAtom(head, head_pos, names));
       }
       out->AddClause(Clause(std::move(head), std::move(body)));
     }
@@ -315,6 +319,22 @@ bool HasBAtomBodies(const Database& db) {
 }
 
 }  // namespace
+
+SpecializedNames::SpecializedNames(const lattice::SecurityLattice& lattice) {
+  for (const char* target : {"rel", "bel", "vis", "overridden"}) {
+    const Symbol base = Symbol::Intern(target);
+    for (const std::string& level : lattice.names()) {
+      names_.emplace(Key(base, Symbol::Intern(level)),
+                     Symbol::Intern(std::string(target) + "__" + level));
+    }
+  }
+}
+
+Symbol SpecializedNames::Get(Symbol target, Symbol level) const {
+  auto it = names_.find(Key(target, level));
+  if (it != names_.end()) return it->second;
+  return Symbol::Intern(target.str() + "__" + level.str());
+}
 
 bool IsReservedPredicate(const std::string& name) {
   return name == "rel" || name == "bel" || name == "dominate" ||
@@ -458,12 +478,13 @@ Result<ReducedProgram> Reduce(const CheckedDatabase& cdb,
   // the specialized program and how many specialized clauses each Sigma
   // entry produced (a display clause can expand into several copies or
   // be statically dropped).
+  out.specialized_names = SpecializedNames(cdb.lattice);
   std::vector<size_t> per_display(out.display.size(), 0);
   for (size_t i = 0; i < out.display.clauses().size(); ++i) {
     const size_t before = out.program.size();
     MULTILOG_RETURN_IF_ERROR(
         SpecializeClause(out.display.clauses()[i], cdb.lattice,
-                         &out.program));
+                         out.specialized_names, &out.program));
     per_display[i] = out.program.size() - before;
   }
   size_t pos = 0;
@@ -488,7 +509,8 @@ Result<SigmaFactDelta> TranslateSigmaFact(const MlClause& fact,
   if (rp.specialized) {
     Program spec;
     for (const Clause& c : translated) {
-      MULTILOG_RETURN_IF_ERROR(SpecializeClause(c, rp.lattice, &spec));
+      MULTILOG_RETURN_IF_ERROR(
+          SpecializeClause(c, rp.lattice, rp.specialized_names, &spec));
     }
     out.program.assign(spec.clauses().begin(), spec.clauses().end());
   } else {
@@ -565,10 +587,12 @@ ReducedProgram::TranslateGoal(const std::vector<MlLiteral>& goal) const {
   // variables, then stripping it off.
   std::vector<Term> head_args;
   for (Symbol v : level_vars) head_args.push_back(Term::Var(v));
-  Clause pseudo(Atom("__goal", head_args), generic);
+  static const Symbol kGoal = Symbol::Intern("__goal");
+  Clause pseudo(Atom(kGoal, head_args), generic);
 
   Program expanded;
-  MULTILOG_RETURN_IF_ERROR(SpecializeClause(pseudo, lattice, &expanded));
+  MULTILOG_RETURN_IF_ERROR(
+      SpecializeClause(pseudo, lattice, specialized_names, &expanded));
 
   std::vector<std::vector<Literal>> out;
   for (const Clause& c : expanded.clauses()) {

@@ -1,7 +1,9 @@
 #ifndef MULTILOG_MULTILOG_REDUCTION_H_
 #define MULTILOG_MULTILOG_REDUCTION_H_
 
+#include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -47,6 +49,26 @@ struct ReductionOptions {
   Specialization specialization = Specialization::kAuto;
 };
 
+/// The level-specialized predicate names of a lattice: (rel, s) ->
+/// rel__s, and likewise for bel, vis and overridden, each interned once
+/// when the table is built. Specializing a goal or a written fact then
+/// looks its names up instead of concatenating and interning them.
+class SpecializedNames {
+ public:
+  SpecializedNames() = default;
+  explicit SpecializedNames(const lattice::SecurityLattice& lattice);
+
+  /// The predicate `target`__`level`; a level outside the lattice is
+  /// interned on the spot.
+  Symbol Get(Symbol target, Symbol level) const;
+
+ private:
+  static uint64_t Key(Symbol target, Symbol level) {
+    return (uint64_t{target.id()} << 32) | level.id();
+  }
+  std::unordered_map<uint64_t, Symbol> names_;
+};
+
 /// The result of reducing a MultiLog database at a session level u.
 struct ReducedProgram {
   /// The executable program: tau(Delta) + A, possibly level-specialized
@@ -63,6 +85,9 @@ struct ReducedProgram {
   /// Copy of the database's security lattice (drives static pruning of
   /// dominance guards during goal translation).
   lattice::SecurityLattice lattice;
+  /// The specialized predicate names over `lattice` (filled when
+  /// `specialized`).
+  SpecializedNames specialized_names;
 
   /// Maintenance bookkeeping, filled by Reduce: the half-open clause
   /// spans the Sigma component occupies in `display` and in `program`,

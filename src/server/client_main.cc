@@ -40,12 +40,14 @@
 // them landed or the exit code says where it stopped. `--keep-going`
 // instead runs every line and reports each failure.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "server/client.h"
@@ -126,6 +128,19 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // A numeric flag's value: digits only, within [min, max]. Junk or an
+    // out-of-range value is refused rather than read as 0 by atol.
+    auto number = [&](uint64_t min, uint64_t max, auto* out) -> bool {
+      const char* v = next();
+      if (v == nullptr) return false;
+      Result<uint64_t> n = server::ParseUnsigned(v, min, max, arg);
+      if (!n.ok()) {
+        std::fprintf(stderr, "%s\n", n.status().ToString().c_str());
+        return false;
+      }
+      *out = static_cast<std::remove_pointer_t<decltype(out)>>(*n);
+      return true;
+    };
     if (arg == "--port") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
@@ -159,25 +174,23 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage(argv[0]);
       batch_file = v;
     } else if (arg == "--deadline-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      deadline_ms = std::atol(v);
+      if (!number(0, server::kMaxRequestMs, &deadline_ms)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--connect-retries") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      connect_retries = static_cast<int>(std::atol(v));
+      if (!number(1, std::numeric_limits<int32_t>::max(), &connect_retries)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--retry-backoff-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      retry_backoff_ms = std::atol(v);
+      if (!number(0, server::kMaxRequestMs, &retry_backoff_ms)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--min-seqno") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      min_seqno = std::atol(v);
+      if (!number(0, std::numeric_limits<int64_t>::max(), &min_seqno)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--wait-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      wait_ms = std::atol(v);
+      if (!number(0, server::kMaxRequestMs, &wait_ms)) return Usage(argv[0]);
     } else if (arg == "--proofs") {
       proofs = true;
     } else if (arg == "--trace") {

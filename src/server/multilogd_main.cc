@@ -200,9 +200,9 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--slow-query-ms") {
       engine_flags.push_back(arg);
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.slow_query_ms = std::atol(v);
+      if (!number(0, server::kMaxRequestMs, &options.slow_query_ms)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--no-incremental") {
       engine_flags.push_back(arg);
       engine_options.incremental = false;

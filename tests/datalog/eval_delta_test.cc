@@ -21,7 +21,8 @@ namespace {
 
 /// A mutable EDB over a fixed rule set: builds the post-mutation
 /// program (rules first, then the surviving fact clauses in insertion
-/// order) and drives ApplyDelta against the maintained model.
+/// order) and drives ApplyDelta against the maintained model and the
+/// plan prepared once, at construction.
 class DeltaHarness {
  public:
   explicit DeltaHarness(std::string_view rules_source,
@@ -30,7 +31,10 @@ class DeltaHarness {
     Result<ParsedProgram> parsed = ParseDatalog(rules_source);
     EXPECT_TRUE(parsed.ok()) << parsed.status();
     rules_ = parsed->program;
-    Result<Model> m = Evaluate(Current(), options_);
+    Result<PreparedProgram> prepared = PrepareProgram(Current(), options_);
+    EXPECT_TRUE(prepared.ok()) << prepared.status();
+    prepared_ = std::move(prepared).value();
+    Result<Model> m = EvaluatePrepared(prepared_, {}, options_);
     EXPECT_TRUE(m.ok()) << m.status();
     model_ = std::move(m).value();
   }
@@ -53,7 +57,7 @@ class DeltaHarness {
 
     Program post = Current();
     Result<DeltaChanges> delta =
-        ApplyDelta(post, adds, removes, &model_, options_);
+        ApplyDelta(&prepared_, adds, removes, &model_, options_);
     ASSERT_TRUE(delta.ok()) << what << ": " << delta.status();
     Result<Model> scratch = Evaluate(post, options_);
     ASSERT_TRUE(scratch.ok()) << what << ": " << scratch.status();
@@ -76,6 +80,7 @@ class DeltaHarness {
   EvalOptions options_;
   Program rules_;
   std::vector<Atom> facts_;
+  PreparedProgram prepared_;
   Model model_;
 };
 
@@ -189,11 +194,13 @@ TEST(ApplyDeltaTest, AggregateClausesAreRejected) {
   Result<ParsedProgram> parsed =
       ParseDatalog("deg(X, count(Y)) :- edge(X, Y). edge(a, b).");
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  Result<Model> m = Evaluate(parsed->program);
+  Result<PreparedProgram> prepared = PrepareProgram(parsed->program);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  Result<Model> m = EvaluatePrepared(*prepared, {});
   ASSERT_TRUE(m.ok()) << m.status();
   Model model = std::move(m).value();
   Result<DeltaChanges> delta =
-      ApplyDelta(parsed->program, {Edge("b", "c")}, {}, &model);
+      ApplyDelta(&prepared.value(), {Edge("b", "c")}, {}, &model);
   EXPECT_FALSE(delta.ok());
   EXPECT_TRUE(delta.status().IsInvalidProgram()) << delta.status();
 }
@@ -201,18 +208,20 @@ TEST(ApplyDeltaTest, AggregateClausesAreRejected) {
 TEST(ApplyDeltaTest, BudgetExhaustionSurfacesAsResourceExhausted) {
   Result<ParsedProgram> parsed = ParseDatalog(kClosure);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  Program program = parsed->program;
+  // The rules alone are the pre-mutation program.
+  Result<PreparedProgram> prepared = PrepareProgram(parsed->program);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
   std::vector<Atom> adds;
   // A chain long enough that the quadratic closure blows a tiny budget.
   const char* names[] = {"a", "b", "c", "d", "e", "f", "g", "h"};
   for (size_t i = 0; i + 1 < std::size(names); ++i) {
     adds.push_back(Edge(names[i], names[i + 1]));
-    program.AddFact(adds.back());
   }
   Model model;  // fixpoint of the empty pre-mutation program
   EvalOptions tight;
   tight.max_facts = 10;
-  Result<DeltaChanges> delta = ApplyDelta(program, adds, {}, &model, tight);
+  Result<DeltaChanges> delta =
+      ApplyDelta(&prepared.value(), adds, {}, &model, tight);
   EXPECT_FALSE(delta.ok());
   EXPECT_TRUE(delta.status().IsResourceExhausted()) << delta.status();
 }
