@@ -769,8 +769,12 @@ Status Engine::InstallSnapshot(uint64_t seqno, const std::string& source) {
 
   // Wholesale replacement: every cache is stale, whatever its level.
   uint64_t dropped = 0;
+  std::vector<std::string> warm;
   {
     std::unique_lock<std::shared_mutex> lock(caches_->mu);
+    for (const auto& [sym, unused] : caches_->models) {
+      warm.emplace_back(sym.str());
+    }
     dropped += caches_->reduced.size() + caches_->models.size() +
                caches_->interpreters.size();
     caches_->reduced.clear();
@@ -782,6 +786,16 @@ Status Engine::InstallSnapshot(uint64_t seqno, const std::string& source) {
   caches_->invalidation_events.fetch_add(1, kRelaxed);
   caches_->cache_entries_invalidated.fetch_add(dropped, kRelaxed);
   caches_->applied_seqno.store(seqno, kRelaxed);
+
+  // Rebuild the levels that had a model before readers resume: left to
+  // the readers, every one that reaches such a level before the first
+  // rebuild is published evaluates the same model (only one is kept),
+  // a varying number of full evaluations and transient heaps per
+  // install. A level whose rebuild fails stays cold, and its next query
+  // reports the error.
+  for (const std::string& level : warm) {
+    (void)ReducedModelLocked(level, nullptr);
+  }
   return Status::OK();
 }
 

@@ -304,9 +304,12 @@ class Engine {
 
   /// Replaces the entire database with a snapshot shipped from a
   /// replication primary (`source` is the primary's canonical dump at
-  /// `seqno`) and drops every cache. The security lattice must be
-  /// equivalent to the current one (same levels, same order) - the
-  /// server binds sessions against a lattice reference it reads
+  /// `seqno`) and drops every cache, then rebuilds the model of every
+  /// level that had one before releasing the database lock, so readers
+  /// resume on warm levels instead of each rebuilding the same model
+  /// (a level whose rebuild fails is left cold). The security lattice
+  /// must be equivalent to the current one (same levels, same order) -
+  /// the server binds sessions against a lattice reference it reads
   /// without the database lock, so the lattice object itself is never
   /// replaced. Persisted via Storage::InstallSnapshot when durable.
   /// Thread-safe; serializes against queries.

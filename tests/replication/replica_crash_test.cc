@@ -301,5 +301,40 @@ TEST(ReplicaCrashTest, InstallSnapshotPersistsAcrossRestart) {
   EXPECT_EQ(replica->DumpSource(), primary->DumpSource());
 }
 
+/// A snapshot install rebuilds, before readers resume, the model of
+/// every level that had one: the next query at each such level is a
+/// cache hit, and it answers like a fresh engine over the snapshot.
+TEST(ReplicaCrashTest, InstallSnapshotKeepsWarmLevelsWarm) {
+  const std::vector<WalRecord> history = PrimaryHistory();
+  Result<ml::Engine> primary = ml::Engine::FromSource(kBaseSource);
+  ASSERT_TRUE(primary.ok()) << primary.status();
+  for (size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(primary->ApplyReplicated(history[i]).ok());
+  }
+  const std::string snapshot_source = primary->DumpSource();
+
+  // Magic off, so every reduced query is answered from the level's model.
+  ml::EngineOptions options;
+  options.magic = false;
+  Result<ml::Engine> fresh = ml::Engine::FromSource(snapshot_source, options);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+
+  const std::string dir = FreshDir("warm");
+  Result<Storage> st = Storage::Open(dir, kBaseSource);
+  ASSERT_TRUE(st.ok()) << st.status();
+  Result<ml::Engine> replica = ml::Engine::FromStorage(&*st, options);
+  ASSERT_TRUE(replica.ok()) << replica.status();
+  ASSERT_TRUE(replica->ApplyReplicated(history[0]).ok());
+  ClearanceDumps(&*replica);
+  const uint64_t warm_models = replica->Counters().live_models;
+  ASSERT_EQ(warm_models, 4u);
+
+  ASSERT_TRUE(replica->InstallSnapshot(4, snapshot_source).ok());
+  EXPECT_EQ(replica->Counters().live_models, warm_models);
+  const uint64_t misses = replica->Counters().cache_misses;
+  EXPECT_EQ(ClearanceDumps(&*replica), ClearanceDumps(&*fresh));
+  EXPECT_EQ(replica->Counters().cache_misses, misses);
+}
+
 }  // namespace
 }  // namespace multilog::replication
